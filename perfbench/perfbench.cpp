@@ -149,82 +149,33 @@ ClassCounts counts_of(const system::ClassMetrics& m) {
   return c;
 }
 
-/// What one finished run leaves to check: its class counts and the
-/// in-flight state of the nodes and the instance pool at the horizon.
-struct RunState {
-  ClassCounts local, global;
-  std::int64_t live_instances = 0;
-  std::int64_t node_in_flight = 0;  ///< waiting + in service, all nodes
-  std::vector<std::string> node_errors;
-};
-
-RunState state_of(const system::SimulationRun& run,
-                  const system::RunMetrics& m) {
-  RunState s;
-  s.local = counts_of(m.local);
-  s.global = counts_of(m.global);
-  s.live_instances =
-      static_cast<std::int64_t>(run.process_manager().live_instances());
-  for (const auto& node : run.nodes()) {
-    const auto held = static_cast<std::int64_t>(node->queue_length()) +
-                      (node->busy() ? 1 : 0);
-    s.node_in_flight += held;
-    const auto out = static_cast<std::int64_t>(node->jobs_completed() +
-                                               node->jobs_aborted() +
-                                               node->jobs_failed());
-    if (static_cast<std::int64_t>(node->jobs_submitted()) != out + held)
-      s.node_errors.push_back("node " + std::to_string(node->id()) +
-                              ": submitted != disposed + held");
-  }
-  return s;
-}
-
 /// Exact per-class conservation, generated = finished + aborted + failed +
-/// shed + in-flight. `ledger` (when the run had one attached) supplies an
-/// independent in-flight count per class; without it the in-flight counts
-/// are derived from the node queues and the instance pool, which is exact
-/// for serial tasks without faults and a two-sided bound otherwise.
-std::vector<std::string> conservation_errors(const RunState& s,
-                                             const system::Config& cfg,
-                                             const Ledger* ledger) {
-  std::vector<std::string> errors = s.node_errors;
+/// shed + in-flight, with the in-flight count of each class taken from the
+/// run's observer ledger.
+std::vector<std::string> conservation_errors(const ClassCounts& local,
+                                             const ClassCounts& global,
+                                             const Ledger& ledger) {
+  std::vector<std::string> errors;
   auto expect = [&errors](bool ok, const std::string& what) {
     if (!ok) errors.push_back(what);
   };
-  for (const auto* c : {&s.local, &s.global}) {
-    const char* cls = c == &s.local ? "local" : "global";
-    expect(c->trials == c->terminal(),
-           std::string(cls) + ": trials != completed+aborted+failed+shed");
-  }
-  const std::int64_t in_flight_l = s.local.generated - s.local.terminal();
-  const std::int64_t in_flight_g = s.global.generated - s.global.terminal();
-  expect(in_flight_l >= 0, "local: more finished than generated");
-  expect(in_flight_g >= 0, "global: more finished than generated");
-  expect(in_flight_g <= s.live_instances,
-         "global: in-flight tasks exceed live instances");
-  expect(in_flight_l + in_flight_g <= s.node_in_flight,
-         "in-flight tasks exceed jobs held by nodes");
-  if (ledger) {
-    expect(s.local.generated == ledger->local_submitted + s.local.shed,
-           "local: generated != submitted + shed");
-    expect(in_flight_l == ledger->local_submitted - ledger->local_disposed,
-           "local: generated != finished+aborted+failed+shed+in-flight");
-    expect(s.global.generated == ledger->global_arrivals,
-           "global: generated != arrivals");
-    expect(s.global.completed == ledger->global_finished,
-           "global: completed != finished events");
-    expect(in_flight_g == ledger->global_arrivals - ledger->global_finished -
-                              ledger->global_ended,
-           "global: generated != finished+aborted+failed+shed+in-flight");
-  }
-  const bool one_job_per_task = cfg.shape == system::GlobalShape::Serial &&
-                                !cfg.faults.any() && s.global.aborted == 0;
-  if (one_job_per_task) {
-    expect(in_flight_g == s.live_instances,
-           "global: in-flight != live instances");
-    expect(in_flight_l + in_flight_g == s.node_in_flight,
-           "in-flight tasks != jobs held by nodes");
-  }
+  expect(local.trials == local.terminal(),
+         "local: trials != completed+aborted+failed+shed");
+  expect(global.trials == global.terminal(),
+         "global: trials != completed+aborted+failed+shed");
+  expect(local.generated == ledger.local_submitted + local.shed,
+         "local: generated != submitted + shed");
+  expect(local.generated - local.terminal() ==
+             ledger.local_submitted - ledger.local_disposed,
+         "local: generated != finished+aborted+failed+shed+in-flight");
+  expect(global.generated == ledger.global_arrivals,
+         "global: generated != arrivals");
+  expect(global.completed == ledger.global_finished,
+         "global: completed != finished events");
+  expect(global.generated - global.terminal() ==
+             ledger.global_arrivals - ledger.global_finished -
+                 ledger.global_ended,
+         "global: generated != finished+aborted+failed+shed+in-flight");
   return errors;
 }
 
@@ -375,12 +326,9 @@ struct Sample {
   double run_s = 0;
   double tasks = 0;
   std::string fingerprint;
-  std::vector<std::string> errors;
 };
 
-/// `lose_task` books one generated local task that never shows up anywhere
-/// (the self-test's injected conservation fault).
-Sample timed_run(const system::Config& cfg, bool lose_task = false) {
+Sample timed_run(const system::Config& cfg) {
   Sample s;
   system::SimulationRun run(cfg, 0);
   const auto t0 = Clock::now();
@@ -388,10 +336,25 @@ Sample timed_run(const system::Config& cfg, bool lose_task = false) {
   s.run_s = seconds_since(t0);
   s.tasks = static_cast<double>(m.local.generated + m.global.generated);
   s.fingerprint = fingerprint(m);
-  RunState state = state_of(run, m);
-  if (lose_task) ++state.local.generated;
-  s.errors = conservation_errors(state, cfg, nullptr);
   return s;
+}
+
+/// One setup_s sample: back-to-back constructions timed together for at
+/// least `kSetupBatchSeconds`, divided by their count. A k=6 construction
+/// takes about a microsecond, so one timed alone is mostly timer and
+/// first-touch noise.
+constexpr double kSetupBatchSeconds = 0.05;
+
+double setup_sample(const system::Config& cfg) {
+  std::size_t built = 0;
+  const auto t0 = Clock::now();
+  double took = 0;
+  do {
+    system::SimulationRun probe(cfg, 0);
+    ++built;
+    took = seconds_since(t0);
+  } while (took < kSetupBatchSeconds);
+  return took / static_cast<double>(built);
 }
 
 void report_failure(RunCount& tally, const std::string& what,
@@ -411,7 +374,6 @@ void print_metric_row(const char* name, const char* unit,
 
 // --- untraced mode: end-to-end metrics ---------------------------------------
 
-constexpr int kSetupsPerRun = 5;
 /// tasks_per_s is the median over blocks of consecutive timed runs holding
 /// at least this much run() time each. The host's speed swings between
 /// fast and slow phases lasting seconds; a block averages over them, where
@@ -425,8 +387,10 @@ int run_untraced(const Options& o, const Workload& w) {
   print_header(o, w, cfg);
   RunCount tally;
 
-  // Checked run (untimed): an observer ledger gives exact in-flight counts,
-  // and its fingerprint is the reference every timed run must reproduce.
+  // Checked run (untimed): an observer ledger gives exact per-class
+  // conservation, and its fingerprint is the reference every timed run must
+  // reproduce bit for bit. The fingerprint pins every class count, so a
+  // timed run that matches it has the counts the ledger verified.
   std::string reference;
   system::RunMetrics ref_metrics;
   {
@@ -436,8 +400,10 @@ int run_untraced(const Options& o, const Workload& w) {
     ref_metrics = run.run();
     reference = fingerprint(ref_metrics);
     ++tally.attempted;
+    ClassCounts local = counts_of(ref_metrics.local);
+    if (o.corrupt == Corrupt::Conservation) ++local.generated;  // lost task
     const auto errors =
-        conservation_errors(state_of(run, ref_metrics), cfg, &ledger);
+        conservation_errors(local, counts_of(ref_metrics.global), ledger);
     if (!errors.empty()) report_failure(tally, "checked run", errors);
   }
 
@@ -446,15 +412,13 @@ int run_untraced(const Options& o, const Workload& w) {
   double block_tasks = 0, block_s = 0;
   std::size_t index = 0;
   while (index < 5 || seconds_since(start) < o.seconds) {
-    Sample s =
-        timed_run(cfg, index == 1 && o.corrupt == Corrupt::Conservation);
+    Sample s = timed_run(cfg);
     ++tally.attempted;
     if (index == 1 && o.corrupt == Corrupt::Fingerprint) s.fingerprint[0] ^= 1;
-    if (s.fingerprint != reference)
-      s.errors.emplace_back("fingerprint differs from the checked run");
     ++index;
-    if (!s.errors.empty()) {
-      report_failure(tally, "timed run " + std::to_string(index), s.errors);
+    if (s.fingerprint != reference) {
+      report_failure(tally, "timed run " + std::to_string(index),
+                     {"fingerprint differs from the checked run"});
       continue;
     }
     block_tasks += s.tasks;
@@ -463,14 +427,9 @@ int run_untraced(const Options& o, const Workload& w) {
       rates.push_back(block_tasks / block_s);
       block_tasks = block_s = 0;
     }
-    // Set-up samples: constructions dropped right away, a few back to back
-    // after every timed run, so they spread over the whole budget like the
-    // timed runs do instead of landing in one short window.
-    for (int i = 0; i < kSetupsPerRun; ++i) {
-      const auto t0 = Clock::now();
-      system::SimulationRun probe(cfg, 0);
-      setups.push_back(seconds_since(t0));
-    }
+    // One set-up sample after every timed run, so they spread over the
+    // whole budget like the timed runs do.
+    setups.push_back(setup_sample(cfg));
   }
 
   if (block_s >= kBlockSeconds / 2 || (rates.empty() && block_s > 0))
@@ -522,23 +481,18 @@ int run_traced(const Options& o, const Workload& w) {
   std::string reference;
   double tasks = 0;
   while (tally.attempted < 3 || seconds_since(start) < 0.3 * o.seconds) {
-    Sample s = timed_run(cfg);
+    const Sample s = timed_run(cfg);
     ++tally.attempted;
     if (reference.empty()) reference = s.fingerprint;
-    if (s.fingerprint != reference)
-      s.errors.emplace_back("fingerprint differs between untraced runs");
-    if (!s.errors.empty()) {
-      report_failure(tally, "untraced run", s.errors);
+    if (s.fingerprint != reference) {
+      report_failure(tally, "untraced run",
+                     {"fingerprint differs between untraced runs"});
       continue;
     }
     walls.push_back(s.run_s);
     tasks = s.tasks;
   }
   spans.close(untraced_span);
-  if (walls.empty()) {
-    print_result(false, tally, {});
-    return 1;
-  }
   const double untraced_wall = median(walls);
 
   // Traced run: probes, miss attribution and workload capture attached.
@@ -566,7 +520,8 @@ int run_traced(const Options& o, const Workload& w) {
     traced_wall = seconds_since(t0);
     writer.close();
     ++tally.attempted;
-    auto errors = conservation_errors(state_of(run, m), cfg, &ledger);
+    auto errors =
+        conservation_errors(counts_of(m.local), counts_of(m.global), ledger);
     if (fingerprint(m) != reference)
       errors.push_back("traced fingerprint differs from untraced");
     if (attribution.misses() != m.global.missed.hits())

@@ -90,11 +90,12 @@ struct TaskCost {
 TaskCost replay_task(const dsrt::system::Config& cfg, const Capture& cap,
                      double budget_s);
 
-/// core placement + load model: for every placeable leaf of the captured
-/// specs, builds the candidate set (eligible minus nodes taken by simple
-/// siblings) and calls the workload's PlacementPolicy::place over a
-/// LoadBoard of k nodes read through the workload's load model. Returns ns
-/// per decision; 0 when the workload has no placement policy.
+/// core placement + load model: drives TaskInstance over the captured
+/// specs twice per sample, once with the workload's PlacementPolicy and load
+/// model over a LoadBoard of k nodes and once without, so the instance's
+/// own placement path (eligible-set candidates, distinct-site exclusion,
+/// place()) is the difference. Returns ns per decision; 0 when the workload
+/// has no placement policy.
 double replay_placement(const dsrt::system::Config& cfg, const Capture& cap,
                         std::uint64_t seed, double budget_s);
 

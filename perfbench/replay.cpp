@@ -302,6 +302,66 @@ LayerCost replay_sched(const system::Config& cfg, const Capture& cap,
   return cost;
 }
 
+namespace {
+
+/// Drives one recycled TaskInstance through every captured global task the
+/// way the process manager does: reset, start, then one on_leaf_complete
+/// per submitted leaf in submission order (a completion may release the
+/// next stage). With a load model and a policy wired, the instance places
+/// its placeable leaves through its own placement path; without them it
+/// keeps the generator's hint nodes. With a board, every submitted leaf is
+/// charged to its node's backlog until it completes.
+class TaskDriver {
+ public:
+  TaskDriver(const system::Config& cfg, const Capture& cap)
+      : cap_(cap), ssp_(cfg.ssp), psp_(cfg.psp) {
+    // Per-run strategy state (the adaptive DIV-x tuner) is cloned exactly
+    // as SimulationRun does.
+    if (auto c = ssp_->clone_for_run()) ssp_ = std::move(c);
+    if (auto c = psp_->clone_for_run()) psp_ = std::move(c);
+  }
+
+  void run(core::LoadBoard* board = nullptr,
+           const core::LoadModel* model = nullptr,
+           const core::PlacementPolicy* policy = nullptr) {
+    for (const workload::TraceGlobalRecord& r : cap_.globals) {
+      inst_.reset(id_++, r.spec, r.arrival, r.deadline, ssp_, psp_, model,
+                  policy);
+      pending_.clear();
+      inst_.start(r.arrival, pending_);
+      charge(board, pending_.begin(), pending_.end());
+      sim::Time now = r.arrival;
+      for (std::size_t j = 0; j < pending_.size(); ++j) {
+        const core::LeafSubmission done = pending_[j];
+        now += done.exec;
+        if (board) (*board)[done.node].remove_backlog(done.pex);
+        out_.clear();
+        if (inst_.on_leaf_complete(done.leaf, now, out_)) ++completed_;
+        charge(board, out_.begin(), out_.end());
+        pending_.insert(pending_.end(), out_.begin(), out_.end());
+      }
+    }
+    if (completed_ == 0) throw std::logic_error("task replay finished no task");
+  }
+
+ private:
+  template <typename It>
+  static void charge(core::LoadBoard* board, It first, It last) {
+    if (!board) return;
+    for (; first != last; ++first) (*board)[first->node].add_backlog(first->pex);
+  }
+
+  const Capture& cap_;
+  core::SerialStrategyPtr ssp_;
+  core::ParallelStrategyPtr psp_;
+  core::TaskInstance inst_;
+  std::vector<core::LeafSubmission> pending_, out_;
+  core::TaskId id_ = 1;
+  std::uint64_t completed_ = 0;
+};
+
+}  // namespace
+
 TaskCost replay_task(const system::Config& cfg, const Capture& cap,
                      double budget_s) {
   TaskCost cost;
@@ -324,35 +384,9 @@ TaskCost replay_task(const system::Config& cfg, const Capture& cap,
       },
       n, budget_s / 3);
 
-  // Per-run strategy state (the adaptive DIV-x tuner) is cloned exactly as
-  // SimulationRun does.
-  core::SerialStrategyPtr ssp = cfg.ssp;
-  core::ParallelStrategyPtr psp = cfg.psp;
-  if (auto c = ssp->clone_for_run()) ssp = std::move(c);
-  if (auto c = psp->clone_for_run()) psp = std::move(c);
-  core::TaskInstance inst;
-  std::vector<core::LeafSubmission> out, pending;
-  core::TaskId id = 1;
-  std::uint64_t completed = 0;
-  cost.instance_ns = median_ns_per_op(
-      [&] {
-        for (const workload::TraceGlobalRecord& r : cap.globals) {
-          inst.reset(id++, r.spec, r.arrival, r.deadline, ssp, psp);
-          pending.clear();
-          inst.start(r.arrival, pending);
-          sim::Time now = r.arrival;
-          // Complete outstanding leaves in submission order; each
-          // completion may release the next stage.
-          for (std::size_t j = 0; j < pending.size(); ++j) {
-            now += pending[j].exec;
-            out.clear();
-            if (inst.on_leaf_complete(pending[j].leaf, now, out)) ++completed;
-            pending.insert(pending.end(), out.begin(), out.end());
-          }
-        }
-      },
-      n, budget_s * 2 / 3);
-  if (completed == 0) throw std::logic_error("task replay finished no task");
+  TaskDriver driver(cfg, cap);
+  cost.instance_ns =
+      median_ns_per_op([&] { driver.run(); }, n, budget_s * 2 / 3);
   return cost;
 }
 
@@ -386,44 +420,29 @@ double replay_placement(const system::Config& cfg, const Capture& cap,
     case core::LoadModelKind::None:
       break;
   }
-  std::vector<core::NodeId> candidates, taken;
-  auto chunk = [&] {
-    for (const workload::TraceGlobalRecord& r : cap.globals) {
-      const core::TaskSpec& spec = r.spec;
-      std::int32_t group = -2;
-      for (std::size_t v = 0; v < spec.size(); ++v) {
-        const core::SpecVertex& vx = spec.vertex(v);
-        if (vx.kind != core::SpecKind::Simple || vx.elig_count == 0) continue;
-        // Simple siblings of one parallel group go to distinct nodes.
-        const bool in_parallel =
-            vx.parent >= 0 &&
-            spec.vertex(static_cast<std::size_t>(vx.parent)).kind ==
-                core::SpecKind::Parallel;
-        if (!in_parallel || vx.parent != group) taken.clear();
-        group = in_parallel ? vx.parent : -2;
-        candidates.clear();
-        for (core::NodeId id : spec.eligible_of(vx))
-          if (std::find(taken.begin(), taken.end(), id) == taken.end())
-            candidates.push_back(id);
-        if (candidates.empty()) continue;
-        if (!taken.empty()) policy->record_restricted();
-        core::PlacementContext ctx;
-        ctx.now = r.arrival;
-        ctx.load = model.get();
-        ctx.hint = vx.node;
-        const core::NodeId chosen = policy->place(ctx, candidates);
-        board[chosen].add_backlog(vx.pex);
-        if (in_parallel) taken.push_back(chosen);
-      }
-    }
-  };
-  chunk();
+  TaskDriver driver(cfg, cap);
+  driver.run(&board);  // warm both variants
   const std::uint64_t d0 = policy->counters().decisions;
-  chunk();
-  const double per_chunk =
+  driver.run(&board, model.get(), policy.get());
+  const double decisions =
       static_cast<double>(policy->counters().decisions - d0);
-  if (per_chunk == 0) return 0;
-  return median_ns_per_op(chunk, per_chunk, budget_s);
+  if (decisions == 0) return 0;
+  // Paired chunks over the same tasks, with placement and without: their
+  // difference is the instance's own placement path (candidate set,
+  // distinct-site exclusion, place()), and pairing them back to back
+  // cancels host drift between chunks.
+  std::vector<double> samples;
+  const auto start = Clock::now();
+  while (samples.size() < 5 || seconds_since(start) < budget_s) {
+    auto t0 = Clock::now();
+    driver.run(&board, model.get(), policy.get());
+    const double placed = seconds_since(t0);
+    t0 = Clock::now();
+    driver.run(&board);
+    const double hinted = seconds_since(t0);
+    samples.push_back((placed - hinted) * 1e9 / decisions);
+  }
+  return median(std::move(samples));
 }
 
 LayerCost replay_workload(const system::Config& cfg, double budget_s) {

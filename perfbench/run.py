@@ -15,7 +15,6 @@ The exit code is non-zero when the build fails, the sources are missing, or
 any run breaks a correctness check. See perfbench/README.md.
 """
 import argparse
-import hashlib
 import json
 import os
 import subprocess
@@ -29,7 +28,6 @@ BINARY = os.path.join(BUILD, "perfbench")
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _spec:
     WHY = {w["name"]: w["why"] for w in json.load(_spec)["workloads"]}
 WORKLOADS = list(WHY)
-RUN_TIMEOUT_S = 170
 
 
 def fail(message):
@@ -55,24 +53,14 @@ def build():
 
 
 def revision():
-    """git revision when the checkout is a repository, else a digest of the
-    sources the benchmark builds (so two trees can still be told apart)."""
-    if os.path.exists(os.path.join(ROOT, ".git")):
+    """Short git revision of the checkout, or "unknown" outside git."""
+    try:
         result = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short=12",
                                  "HEAD"], stdout=subprocess.PIPE,
                                 stderr=subprocess.DEVNULL, text=True)
-        if result.returncode == 0:
-            return "git-" + result.stdout.strip()
-    digest = hashlib.sha1()
-    for top in ("CMakeLists.txt", "src", "include", "perfbench"):
-        path = os.path.join(ROOT, top)
-        files = [path] if os.path.isfile(path) else sorted(
-            os.path.join(d, f) for d, _, fs in os.walk(path) for f in fs)
-        for name in files:
-            digest.update(os.path.relpath(name, ROOT).encode())
-            with open(name, "rb") as handle:
-                digest.update(handle.read())
-    return "tree-" + digest.hexdigest()[:12]
+    except OSError:
+        return "unknown"
+    return result.stdout.strip() if result.returncode == 0 else "unknown"
 
 
 def run_one(args, workload, trace, rev):
@@ -81,11 +69,14 @@ def run_one(args, workload, trace, rev):
            "--seconds", str(args.seconds), "--trace", str(trace),
            "--size", args.size, "--corrupt", args.corrupt,
            "--revision", rev, "--out", OUT]
+    # A run spends --seconds measuring plus one checked run and the tail of
+    # its last timed run; the slack covers those at full size.
+    timeout_s = 2 * args.seconds + 120
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                              timeout=RUN_TIMEOUT_S)
+                              timeout=timeout_s)
     except subprocess.TimeoutExpired:
-        fail("%s did not finish within %d s" % (workload, RUN_TIMEOUT_S))
+        fail("%s did not finish within %g s" % (workload, timeout_s))
     lines = proc.stdout.rstrip("\n").split("\n")
     lines.insert(1, "  why: " + WHY[workload])
     result = None
