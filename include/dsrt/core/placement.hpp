@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "dsrt/core/node_set.hpp"
 #include "dsrt/core/strategy.hpp"
 #include "dsrt/core/task.hpp"
 #include "dsrt/sim/rng.hpp"
@@ -16,8 +17,8 @@ namespace dsrt::core {
 
 /// Everything a placement policy may consult when one simple subtask is
 /// bound to an execution node at dispatch time. The candidate set itself is
-/// passed separately (the engine strips nodes already taken by siblings of
-/// the same parallel group before asking).
+/// passed separately, as a view that excludes the nodes already taken by
+/// siblings of the same parallel group.
 struct PlacementContext {
   sim::Time now = 0;
   /// System-state view (same board the load-aware deadline strategies
@@ -60,7 +61,7 @@ class PlacementPolicy {
   /// minus nodes already taken by simple siblings of the same parallel
   /// group, in eligible-set order). Must return an element of `candidates`.
   virtual NodeId place(const PlacementContext& ctx,
-                       std::span<const NodeId> candidates) const = 0;
+                       CandidateView candidates) const = 0;
   virtual std::string_view name() const = 0;
 
   const PlacementCounters& counters() const { return counters_; }
@@ -81,7 +82,7 @@ class PlacementPolicy {
 class StaticPlacement final : public PlacementPolicy {
  public:
   NodeId place(const PlacementContext& ctx,
-               std::span<const NodeId> candidates) const override;
+               CandidateView candidates) const override;
   std::string_view name() const override { return "static"; }
 };
 
@@ -107,7 +108,7 @@ class JsqPlacement final : public PlacementPolicy {
   explicit JsqPlacement(Key key) : key_(key) {}
 
   NodeId place(const PlacementContext& ctx,
-               std::span<const NodeId> candidates) const override;
+               CandidateView candidates) const override;
   std::string_view name() const override {
     return key_ == Key::QueuedPex ? "jsq-pex" : "jsq-util";
   }
@@ -132,12 +133,14 @@ class JsqPlacement final : public PlacementPolicy {
 ///
 /// Draw-order contract (pinned by tests, and what makes --jobs=1 equal
 /// --jobs=N): a decision over n candidates performs *exactly* d calls to
-/// `rng.below(n - j)` for j = 0..d-1 (a partial Fisher-Yates over an
-/// identity index scratch, un-swapped afterwards so the scratch is reused),
-/// and performs *zero* draws when n <= d (exhaustive argmin — narrow
-/// distinct-site leftovers never shift the stream consumed by wide
-/// decisions). Ties keep the first minimum in draw order: the sampling
-/// itself supplies the spread that jsq's tie rotation provides.
+/// `rng.below(n - j)` for j = 0..d-1 (a partial Fisher-Yates over the
+/// candidate indices, replayed sparsely by `sim::PartialShuffle` and read
+/// through the view's order statistic, so a decision costs O(d) however
+/// large the eligible range), and performs *zero* draws when n <= d
+/// (exhaustive argmin — narrow distinct-site leftovers never shift the
+/// stream consumed by wide decisions). Ties keep the first minimum in draw
+/// order: the sampling itself supplies the spread that jsq's tie rotation
+/// provides.
 ///
 /// The rng/scratch are mutable-in-const for the same reason as
 /// JsqPlacement's tie rotation: every run builds a fresh instance from the
@@ -148,19 +151,17 @@ class PodPlacement final : public PlacementPolicy {
   PodPlacement(std::uint32_t d, sim::Rng rng) : d_(d), rng_(rng) {}
 
   NodeId place(const PlacementContext& ctx,
-               std::span<const NodeId> candidates) const override;
+               CandidateView candidates) const override;
   std::string_view name() const override { return "pod"; }
 
   std::uint32_t d() const { return d_; }
+  /// Position of the sampling stream; for tests.
+  const sim::Rng& rng() const { return rng_; }
 
  private:
   std::uint32_t d_;
   mutable sim::Rng rng_;
-  /// Identity permutation over the candidate indices; the partial
-  /// Fisher-Yates swaps into its prefix and is undone after every
-  /// decision, so the scratch is rebuilt only when the set size changes.
-  mutable std::vector<std::uint32_t> idx_;
-  mutable std::vector<std::uint32_t> drawn_;  ///< swap targets, to undo
+  mutable sim::PartialShuffle shuffle_;  ///< d-entry swap map, reused
 };
 
 /// Which placement policy a run should wire up.

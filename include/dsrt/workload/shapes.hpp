@@ -17,26 +17,26 @@ enum class GlobalShape : std::uint8_t {
   SerialParallel,  ///< Section 6: serial chain with parallel stages
 };
 
-/// Samples `count` distinct node ids from [0, nodes) into `out` (resized to
-/// `count`; no allocation once its capacity reached `nodes`). Requires
-/// count <= nodes. Partial Fisher-Yates; identical draw sequence to the
-/// returning overload below.
-void sample_distinct_nodes_into(std::size_t nodes, std::size_t count,
-                                sim::Rng& rng,
-                                std::vector<core::NodeId>& out);
+/// Reusable scratch for the allocation-free `fill_*` makers below; owns the
+/// distinct-site sample and its swap map. Keep one alive per stream
+/// (GlobalTaskSource does) so repeated fills never touch the allocator.
+struct ShapeScratch {
+  std::vector<core::NodeId> sites;
+  sim::PartialShuffle shuffle;
+};
 
-/// Samples `count` distinct node ids from [0, nodes). Requires
-/// count <= nodes. Partial Fisher-Yates; O(count) extra space.
+/// Samples `count` distinct node ids from [0, nodes) into `scratch.sites`.
+/// Requires count <= nodes. Partial Fisher-Yates (draw i is
+/// `i + rng.below(nodes - i)`), replayed sparsely: O(count) time and space
+/// whatever `nodes` is, and no allocation once the scratch is warm.
+void sample_distinct_nodes_into(std::size_t nodes, std::size_t count,
+                                sim::Rng& rng, ShapeScratch& scratch);
+
+/// Samples `count` distinct node ids from [0, nodes); same draws as
+/// `sample_distinct_nodes_into`.
 std::vector<core::NodeId> sample_distinct_nodes(std::size_t nodes,
                                                 std::size_t count,
                                                 sim::Rng& rng);
-
-/// Reusable scratch for the allocation-free `fill_*` makers below; owns the
-/// distinct-site sampling pool. Keep one alive per stream (GlobalTaskSource
-/// does) so repeated fills never touch the allocator.
-struct ShapeScratch {
-  std::vector<core::NodeId> sites;
-};
 
 /// The `fill_*` family emits one task of the given shape into `builder`
 /// (already `reset()` onto the output spec; the caller calls `finish()`),

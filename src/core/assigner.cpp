@@ -10,6 +10,16 @@
 
 namespace dsrt::core {
 
+namespace {
+
+/// Adds `node` to a sorted exclusion set, keeping it sorted and unique.
+void insert_sorted(std::vector<NodeId>& set, NodeId node) {
+  const auto it = std::lower_bound(set.begin(), set.end(), node);
+  if (it == set.end() || *it != node) set.insert(it, node);
+}
+
+}  // namespace
+
 TaskInstance::TaskInstance(TaskId id, const TaskSpec& spec, sim::Time arrival,
                            sim::Time deadline, SerialStrategyPtr ssp,
                            ParallelStrategyPtr psp,
@@ -40,8 +50,10 @@ void TaskInstance::reset(TaskId id, const TaskSpec& spec, sim::Time arrival,
   started_ = false;
 
   // One pass over the flat spec: copy the structure (same pre-order
-  // numbering, shared pools copied wholesale) and reset the runtime fields.
-  // Every container reuses its capacity — zero allocations once warm.
+  // numbering, shared pools copied wholesale — the eligible pool holds
+  // explicit lists only, so range-form sets copy nothing) and reset the
+  // runtime fields. Every container reuses its capacity — zero allocations
+  // once warm.
   const std::span<const SpecVertex> sv = spec.vertices();
   vertices_.assign(sv.size(), Vertex{});
   const auto cp = spec.child_pool();
@@ -63,8 +75,9 @@ void TaskInstance::reset(TaskId id, const TaskSpec& spec, sim::Time arrival,
       vx.node = s.node;
       vx.exec = s.exec;
       vx.elig_begin = s.elig_begin;
-      vx.elig_count = s.elig_count;  // 0 = bound at generation time
-      vx.orig_elig_count = s.elig_count;  // kept for fault retries
+      vx.elig_count = s.elig_count;
+      vx.elig_listed = s.elig_listed;
+      vx.deferred = s.elig_count != 0;
     } else if (s.kind == SpecKind::Serial) {
       // Suffix sums of child predicted durations: suffix[i] =
       // sum_{j >= i} pex(child j); the SSP formulas consume these.
@@ -99,10 +112,7 @@ void TaskInstance::activate(std::size_t v, sim::Time now, sim::Time deadline,
       // is placed alone: no sibling runs concurrently, so nothing is
       // excluded. Leaves of a parallel group were already resolved by
       // place_parallel_group below.
-      if (vx.elig_count != 0) {
-        place_taken_.clear();
-        place_leaf(v, now, place_taken_);
-      }
+      if (vx.deferred) place_leaf(v, now, {});
       ++outstanding_;
       const std::size_t sibling_count =
           vx.parent < 0
@@ -160,11 +170,8 @@ void TaskInstance::activate_serial_child(std::size_t group, sim::Time now,
   const std::size_t child = child_pool_[gx.child_begin + i];
   // Resolve the stage's node binding first, so the SSP context charges the
   // backlog of the node the subtask will actually queue at.
-  if (vertices_[child].kind == SpecKind::Simple &&
-      vertices_[child].elig_count != 0) {
-    place_taken_.clear();
-    place_leaf(child, now, place_taken_);
-  }
+  if (vertices_[child].kind == SpecKind::Simple && vertices_[child].deferred)
+    place_leaf(child, now, {});
   SerialContext ctx;
   ctx.group_arrival = gx.activated_at;
   ctx.group_deadline = gx.assigned_deadline;
@@ -188,19 +195,13 @@ void TaskInstance::activate_serial_child(std::size_t group, sim::Time now,
 }
 
 void TaskInstance::place_leaf(std::size_t v, sim::Time now,
-                              const std::vector<NodeId>& taken) {
+                              std::span<const NodeId> taken) {
   Vertex& vx = vertices_[v];
-  if (!placement_) {
-    // No policy wired: keep the generator's seed-compatible hint.
-    vx.elig_count = 0;
-    return;
-  }
-  place_candidates_.clear();
-  for (const NodeId node : eligible_of(vx)) {
-    if (std::find(taken.begin(), taken.end(), node) == taken.end())
-      place_candidates_.push_back(node);
-  }
-  if (place_candidates_.empty())
+  vx.deferred = false;
+  // No policy wired: keep the generator's seed-compatible hint.
+  if (!placement_) return;
+  const CandidateView candidates(eligible_of(vx), taken);
+  if (candidates.empty())
     throw std::logic_error(
         "TaskInstance: parallel group wider than its eligible node set");
   if (!taken.empty()) placement_->record_restricted();
@@ -208,8 +209,7 @@ void TaskInstance::place_leaf(std::size_t v, sim::Time now,
   ctx.now = now;
   ctx.load = load_model_;
   ctx.hint = vx.node;
-  vx.node = placement_->place(ctx, place_candidates_);
-  vx.elig_count = 0;
+  vx.node = placement_->place(ctx, candidates);
 }
 
 void TaskInstance::place_parallel_group(std::size_t v, sim::Time now) {
@@ -217,8 +217,7 @@ void TaskInstance::place_parallel_group(std::size_t v, sim::Time now) {
   const auto children = children_of(vx);
   bool any_placeable = false;
   for (const std::uint32_t c : children) {
-    if (vertices_[c].kind == SpecKind::Simple &&
-        vertices_[c].elig_count != 0) {
+    if (vertices_[c].kind == SpecKind::Simple && vertices_[c].deferred) {
       any_placeable = true;
       break;
     }
@@ -231,16 +230,14 @@ void TaskInstance::place_parallel_group(std::size_t v, sim::Time now) {
   // unconstrained by this group.)
   place_taken_.clear();
   for (const std::uint32_t c : children) {
-    if (vertices_[c].kind == SpecKind::Simple &&
-        vertices_[c].elig_count == 0)
-      place_taken_.push_back(vertices_[c].node);
+    if (vertices_[c].kind == SpecKind::Simple && !vertices_[c].deferred)
+      insert_sorted(place_taken_, vertices_[c].node);
   }
   for (const std::uint32_t c : children) {
-    if (vertices_[c].kind != SpecKind::Simple ||
-        vertices_[c].elig_count == 0)
+    if (vertices_[c].kind != SpecKind::Simple || !vertices_[c].deferred)
       continue;
     place_leaf(c, now, place_taken_);
-    place_taken_.push_back(vertices_[c].node);
+    insert_sorted(place_taken_, vertices_[c].node);
   }
 }
 
@@ -248,8 +245,7 @@ double TaskInstance::downstream_backlog(std::size_t v, sim::Time now) const {
   const Vertex& vx = vertices_[v];
   switch (vx.kind) {
     case SpecKind::Simple: {
-      if (vx.elig_count == 0)
-        return load_model_->load(vx.node, now).queued_pex;
+      if (!vx.deferred) return load_model_->load(vx.node, now).queued_pex;
       // Not yet placed: the optimistic estimate is the backlog a
       // shortest-queue dispatch would face right now.
       double best = std::numeric_limits<double>::infinity();
@@ -324,11 +320,18 @@ bool TaskInstance::resubmit_leaf(std::size_t leaf, sim::Time now,
     throw std::invalid_argument("resubmit_leaf: not a leaf vertex");
   Vertex& vx = vertices_[leaf];
   if (state_ != InstanceState::Running || vx.done) return false;
-  // Rebuild the distinct-site exclusions: nodes currently occupied by
-  // unfinished simple siblings of the same parallel group (a finished
-  // sibling no longer holds its site).
+  // A generation-bound leaf's only legal site is its own node (live again
+  // after a recovery, or the crash raced a queued arrival). A placeable
+  // leaf goes back to its original eligible set minus the distinct-site
+  // exclusions: nodes currently occupied by unfinished simple siblings of
+  // the same parallel group (a finished sibling no longer holds its site).
+  // Either way, every dead node is excluded too. Cold path: the liveness
+  // scan over the set is O(k), once per crash orphan.
+  const EligibleSet eligible = vx.elig_count == 0
+                                   ? EligibleSet::range(vx.node, 1)
+                                   : eligible_of(vx);
   place_taken_.clear();
-  if (vx.parent >= 0) {
+  if (vx.elig_count != 0 && vx.parent >= 0) {
     const Vertex& px = vertices_[static_cast<std::size_t>(vx.parent)];
     if (px.kind == SpecKind::Parallel) {
       for (const std::uint32_t c : children_of(px)) {
@@ -338,31 +341,21 @@ bool TaskInstance::resubmit_leaf(std::size_t leaf, sim::Time now,
       }
     }
   }
-  place_candidates_.clear();
-  if (vx.orig_elig_count == 0) {
-    // Generation-bound leaf: the only legal site is its own node (live
-    // again after a recovery, or the crash raced a queued arrival).
-    if (live(vx.node)) place_candidates_.push_back(vx.node);
-  } else {
-    const std::span<const NodeId> eligible{elig_pool_.data() + vx.elig_begin,
-                                           vx.orig_elig_count};
-    for (const NodeId node : eligible) {
-      if (!live(node)) continue;
-      if (std::find(place_taken_.begin(), place_taken_.end(), node) !=
-          place_taken_.end())
-        continue;
-      place_candidates_.push_back(node);
-    }
-  }
-  if (place_candidates_.empty()) return false;  // nowhere live to go
-  if (placement_ && place_candidates_.size() > 1) {
+  for (const NodeId node : eligible)
+    if (!live(node)) place_taken_.push_back(node);
+  std::sort(place_taken_.begin(), place_taken_.end());
+  place_taken_.erase(std::unique(place_taken_.begin(), place_taken_.end()),
+                     place_taken_.end());
+  const CandidateView candidates(eligible, place_taken_);
+  if (candidates.empty()) return false;  // nowhere live to go
+  if (placement_ && candidates.size() > 1) {
     PlacementContext ctx;
     ctx.now = now;
     ctx.load = load_model_;
     ctx.hint = vx.node;
-    vx.node = placement_->place(ctx, place_candidates_);
+    vx.node = placement_->place(ctx, candidates);
   } else {
-    vx.node = place_candidates_.front();
+    vx.node = candidates.front();
   }
   ++outstanding_;
   const std::size_t sibling_count =

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -13,19 +12,17 @@
 namespace dsrt::core {
 
 NodeId StaticPlacement::place(const PlacementContext& ctx,
-                              std::span<const NodeId> candidates) const {
+                              CandidateView candidates) const {
   if (candidates.empty())
     throw std::invalid_argument("StaticPlacement: empty candidate set");
   ++counters_.decisions;
-  if (std::find(candidates.begin(), candidates.end(), ctx.hint) !=
-      candidates.end())
-    return ctx.hint;
+  if (candidates.contains(ctx.hint)) return ctx.hint;
   ++counters_.hint_fallbacks;
   return candidates.front();
 }
 
 NodeId JsqPlacement::place(const PlacementContext& ctx,
-                           std::span<const NodeId> candidates) const {
+                           CandidateView candidates) const {
   if (candidates.empty())
     throw std::invalid_argument("JsqPlacement: empty candidate set");
   ++counters_.decisions;
@@ -59,9 +56,10 @@ NodeId JsqPlacement::place(const PlacementContext& ctx,
   // and uniform over the tied set on an idle board.
   if (ties > 1) ++counters_.exact_ties;
   std::size_t skip = static_cast<std::size_t>(seq_++ % ties);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (keys_[i] == best) {
-      if (skip == 0) return candidates[i];
+  std::size_t i = 0;
+  for (const NodeId node : candidates) {
+    if (keys_[i++] == best) {
+      if (skip == 0) return node;
       --skip;
     }
   }
@@ -69,7 +67,7 @@ NodeId JsqPlacement::place(const PlacementContext& ctx,
 }
 
 NodeId PodPlacement::place(const PlacementContext& ctx,
-                           std::span<const NodeId> candidates) const {
+                           CandidateView candidates) const {
   if (candidates.empty())
     throw std::invalid_argument("PodPlacement: empty candidate set");
   ++counters_.decisions;
@@ -86,14 +84,14 @@ NodeId PodPlacement::place(const PlacementContext& ctx,
     // sample, and — per the documented draw-order contract — it consumes
     // NO rng draws, so narrow distinct-site leftovers never shift the
     // stream seen by the wide decisions around them.
-    NodeId best_node = candidates[0];
-    double best = key_of(best_node);
-    std::size_t ties = 1;
-    for (std::size_t i = 1; i < n; ++i) {
-      const double key = key_of(candidates[i]);
-      if (key < best) {
+    NodeId best_node = candidates.front();
+    double best = 0;
+    std::size_t ties = 0;
+    for (const NodeId node : candidates) {
+      const double key = key_of(node);
+      if (ties == 0 || key < best) {
         best = key;
-        best_node = candidates[i];
+        best_node = node;
         ties = 1;
       } else if (key == best) {
         ++ties;
@@ -102,25 +100,16 @@ NodeId PodPlacement::place(const PlacementContext& ctx,
     if (ties > 1) ++counters_.exact_ties;
     return best_node;
   }
-  // Partial Fisher-Yates over the identity scratch: exactly d_ draws of
+  // Partial Fisher-Yates over the candidate indices: exactly d_ draws of
   // rng.below(n - j), each picking one not-yet-sampled candidate uniformly
-  // (sampling without replacement). The prefix swaps are undone below, so
-  // idx_ stays the identity permutation and is rebuilt only when the
-  // candidate-set size changes.
-  if (idx_.size() != n) {
-    idx_.resize(n);
-    std::iota(idx_.begin(), idx_.end(), 0u);
-  }
-  drawn_.clear();
-  NodeId best_node = candidates[0];
+  // (sampling without replacement), replayed through a d-entry swap map.
+  shuffle_.reset(n, d_);
+  NodeId best_node = 0;
   double best = 0;
   std::size_t ties = 0;
   for (std::uint32_t j = 0; j < d_; ++j) {
-    const std::uint32_t r =
-        j + static_cast<std::uint32_t>(rng_.below(n - j));
-    std::swap(idx_[j], idx_[r]);
-    drawn_.push_back(r);
-    const NodeId node = candidates[idx_[j]];
+    const NodeId node =
+        candidates[static_cast<std::size_t>(shuffle_.next(rng_))];
     const double key = key_of(node);
     if (ties == 0 || key < best) {
       best = key;
@@ -133,7 +122,6 @@ NodeId PodPlacement::place(const PlacementContext& ctx,
     }
   }
   if (ties > 1) ++counters_.exact_ties;
-  for (std::uint32_t j = d_; j-- > 0;) std::swap(idx_[j], idx_[drawn_[j]]);
   return best_node;
 }
 

@@ -52,7 +52,7 @@ TaskSpec TaskSpec::simple_among(NodeId hint, std::vector<NodeId> eligible,
   TaskSpec spec;
   TaskSpecBuilder b;
   b.reset(spec);
-  b.leaf_among(hint, std::span<const NodeId>(eligible), exec, pex);
+  b.leaf_among(hint, EligibleSet(eligible), exec, pex);
   b.finish();
   return spec;
 }
@@ -105,7 +105,7 @@ double TaskSpec::pex() const {
   return require_simple(root_vertex(), "TaskSpec::pex on complex task").pex;
 }
 
-std::span<const NodeId> TaskSpec::eligible() const {
+EligibleSet TaskSpec::eligible() const {
   return eligible_of(root_vertex());
 }
 
@@ -223,27 +223,30 @@ void TaskSpecBuilder::leaf_among(NodeId hint, NodeId first,
                                  std::uint32_t count, double exec,
                                  double pex) {
   if (count == 0) throw std::invalid_argument("TaskSpec: empty eligible set");
-  if (hint < first || hint >= first + count)
+  if (hint < first || hint - first >= count)
     throw std::invalid_argument("TaskSpec: hint outside the eligible set");
   leaf(hint, exec, pex);
   SpecVertex& vx = out_->vertices_.back();
-  vx.elig_begin = static_cast<std::uint32_t>(out_->elig_pool_.size());
+  vx.elig_begin = first;
   vx.elig_count = count;
-  for (std::uint32_t i = 0; i < count; ++i)
-    out_->elig_pool_.push_back(first + i);
 }
 
-void TaskSpecBuilder::leaf_among(NodeId hint,
-                                 std::span<const NodeId> eligible,
+void TaskSpecBuilder::leaf_among(NodeId hint, EligibleSet eligible,
                                  double exec, double pex) {
+  if (eligible.is_range()) {
+    leaf_among(hint, eligible.front(),
+               static_cast<std::uint32_t>(eligible.size()), exec, pex);
+    return;
+  }
   if (eligible.empty())
     throw std::invalid_argument("TaskSpec: empty eligible set");
-  if (std::find(eligible.begin(), eligible.end(), hint) == eligible.end())
+  if (!eligible.contains(hint))
     throw std::invalid_argument("TaskSpec: hint outside the eligible set");
   leaf(hint, exec, pex);
   SpecVertex& vx = out_->vertices_.back();
   vx.elig_begin = static_cast<std::uint32_t>(out_->elig_pool_.size());
   vx.elig_count = static_cast<std::uint32_t>(eligible.size());
+  vx.elig_listed = true;
   out_->elig_pool_.insert(out_->elig_pool_.end(), eligible.begin(),
                           eligible.end());
 }
@@ -262,7 +265,7 @@ void TaskSpecBuilder::append_subtree(const TaskSpec& sub) {
                           sub.elig_pool_.end());
   for (std::size_t v = base; v < out_->vertices_.size(); ++v) {
     SpecVertex& vx = out_->vertices_[v];
-    vx.elig_begin += elig_base;
+    if (vx.elig_listed) vx.elig_begin += elig_base;
     if (vx.parent >= 0) {
       vx.parent += static_cast<std::int32_t>(base);
     } else if (!open_groups_.empty()) {

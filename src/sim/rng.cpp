@@ -1,6 +1,9 @@
 #include "dsrt/sim/rng.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <stdexcept>
 
 namespace dsrt::sim {
 
@@ -70,6 +73,42 @@ std::uint64_t Rng::below(std::uint64_t n) noexcept {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
+}
+
+void PartialShuffle::reset(std::uint64_t n, std::uint64_t count) {
+  n_ = n;
+  limit_ = count;
+  drawn_ = 0;
+  // Load factor <= 1/2 keeps linear probing short.
+  const std::uint64_t capacity = std::bit_ceil(std::max<std::uint64_t>(
+      4, 2 * count));
+  shift_ = 64 - std::countr_zero(capacity);
+  keys_.assign(capacity, kEmpty);
+  vals_.resize(capacity);
+}
+
+std::size_t PartialShuffle::slot_of(std::uint64_t pos) const {
+  std::size_t slot = (pos * 0x9e3779b97f4a7c15ULL) >> shift_;
+  while (keys_[slot] != kEmpty && keys_[slot] != pos)
+    slot = (slot + 1) & (keys_.size() - 1);
+  return slot;
+}
+
+std::uint64_t PartialShuffle::next(Rng& rng) {
+  if (drawn_ == limit_)
+    throw std::logic_error("PartialShuffle: more draws than reserved");
+  const std::uint64_t j = drawn_++;
+  const std::uint64_t r = j + rng.below(n_ - j);
+  // swap(idx[j], idx[r]), where an unmapped position holds itself.
+  // Position j is never read again (later draws use larger j, and r >= j),
+  // so only r's new value is recorded.
+  const std::size_t r_slot = slot_of(r);
+  const std::uint64_t picked = keys_[r_slot] == r ? vals_[r_slot] : r;
+  const std::size_t j_slot = slot_of(j);
+  const std::uint64_t moved = keys_[j_slot] == j ? vals_[j_slot] : j;
+  keys_[r_slot] = r;
+  vals_[r_slot] = moved;
+  return picked;
 }
 
 }  // namespace dsrt::sim

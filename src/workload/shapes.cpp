@@ -1,40 +1,35 @@
 #include "dsrt/workload/shapes.hpp"
 
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 namespace dsrt::workload {
 
 void sample_distinct_nodes_into(std::size_t nodes, std::size_t count,
-                                sim::Rng& rng,
-                                std::vector<core::NodeId>& out) {
+                                sim::Rng& rng, ShapeScratch& scratch) {
   if (count > nodes)
     throw std::invalid_argument(
         "sample_distinct_nodes: more subtasks than nodes");
-  out.resize(nodes);
-  std::iota(out.begin(), out.end(), core::NodeId{0});
-  // Partial Fisher-Yates: the first `count` entries become the sample.
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j = i + static_cast<std::size_t>(rng.below(nodes - i));
-    std::swap(out[i], out[j]);
-  }
-  out.resize(count);
+  scratch.sites.clear();
+  scratch.shuffle.reset(nodes, count);
+  for (std::size_t i = 0; i < count; ++i)
+    scratch.sites.push_back(
+        static_cast<core::NodeId>(scratch.shuffle.next(rng)));
 }
 
 std::vector<core::NodeId> sample_distinct_nodes(std::size_t nodes,
                                                 std::size_t count,
                                                 sim::Rng& rng) {
-  std::vector<core::NodeId> pool;
-  sample_distinct_nodes_into(nodes, count, rng, pool);
-  return pool;
+  ShapeScratch scratch;
+  sample_distinct_nodes_into(nodes, count, rng, scratch);
+  return std::move(scratch.sites);
 }
 
 namespace {
 
 /// Emits one leaf with an optional deferred binding: the eligible set is
 /// the contiguous id range [lo, lo + count) — the compute nodes or the
-/// link nodes — appended to the spec's shared pool (no per-leaf vector).
+/// link nodes — stored in the leaf's vertex as a range (O(1) whatever k).
 /// The RNG consumption is identical for both arms — `node` was drawn by
 /// the caller either way — so flipping `defer` never perturbs the seed
 /// stream.
@@ -58,8 +53,7 @@ void emit_sp_stage(core::TaskSpecBuilder& b, const SerialParallelShape& shape,
                    const PexErrorModel& pex_error, sim::Rng& rng, bool defer,
                    ShapeScratch& scratch) {
   if (rng.uniform01() < shape.parallel_prob) {
-    sample_distinct_nodes_into(nodes, shape.parallel_width, rng,
-                               scratch.sites);
+    sample_distinct_nodes_into(nodes, shape.parallel_width, rng, scratch);
     b.begin_parallel();
     for (const auto node : scratch.sites)
       emit_leaf_among(b, node, defer, 0, nodes, exec_dist, pex_error, rng);
@@ -121,7 +115,7 @@ void fill_parallel_task(core::TaskSpecBuilder& b, std::size_t subtasks,
                         const PexErrorModel& pex_error, sim::Rng& rng,
                         bool defer_placement, ShapeScratch& scratch) {
   if (subtasks == 0) throw std::invalid_argument("make_parallel_task: m == 0");
-  sample_distinct_nodes_into(nodes, subtasks, rng, scratch.sites);
+  sample_distinct_nodes_into(nodes, subtasks, rng, scratch);
   b.begin_parallel();
   for (const auto node : scratch.sites)
     emit_leaf_among(b, node, defer_placement, 0, nodes, exec_dist, pex_error,

@@ -59,14 +59,14 @@ void format_vertex(const core::TaskSpec& spec, const core::SpecView& v,
     out += std::to_string(v.node());
     const auto eligible = v.eligible();
     if (!eligible.empty()) {
-      // Contiguous ascending ranges (the common case: "any compute node")
-      // compress to {lo..hi}; anything else is written as an explicit list.
+      // Ranges (the common case: "any compute node") are written as
+      // {lo..hi} straight from their two integers; an explicit list that
+      // happens to be contiguous and ascending compresses the same way.
+      // Anything else is written as an explicit list.
       bool contiguous = true;
-      for (std::size_t i = 1; i < eligible.size(); ++i)
-        if (eligible[i] != eligible[i - 1] + 1) {
-          contiguous = false;
-          break;
-        }
+      if (!eligible.is_range())
+        for (std::size_t i = 1; contiguous && i < eligible.size(); ++i)
+          contiguous = eligible[i] == eligible[i - 1] + 1;
       out += '{';
       if (contiguous && eligible.size() > 1) {
         out += std::to_string(eligible.front());

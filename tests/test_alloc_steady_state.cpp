@@ -296,12 +296,18 @@ TEST(AllocSteadyState, BigConfigLadderPodCycleAllocatesNothing) {
 }
 
 TEST(AllocSteadyState, CounterSeesAllocations) {
-  // Sanity: the hook is actually installed in this binary.
+  // Sanity: the hook is actually installed in this binary. A new-expression
+  // may be elided or merged by the optimizer (C++14 allocation elision), so
+  // the probe calls ::operator new directly and lets both pointers escape
+  // through a volatile sink: neither call can be dropped.
+  void* volatile sink[2];
   const std::uint64_t before = dsrt::testing::allocation_count();
-  auto* p = new std::vector<int>(1024);
+  sink[0] = ::operator new(sizeof(std::vector<int>));
+  sink[1] = ::operator new(1024 * sizeof(int));
   const std::uint64_t after = dsrt::testing::allocation_count();
-  delete p;
-  EXPECT_GE(after - before, 2u);  // the vector object + its buffer
+  ::operator delete(sink[0]);
+  ::operator delete(sink[1]);
+  EXPECT_GE(after - before, 2u);  // two distinct allocations
 }
 
 }  // namespace

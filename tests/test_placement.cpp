@@ -1,6 +1,7 @@
 // Dispatch-time placement: PlacementSpec parsing/registry, the policy
 // semantics (static = seed draw, jsq = minimal backlog with deterministic
-// tie rotation), the TaskInstance placement engine (eligible sets,
+// tie rotation), candidate views against the materialized "eligible minus
+// taken" list, the TaskInstance placement engine (eligible sets,
 // distinct-site constraint for parallel groups), shape-level RNG
 // equivalence of deferred generation, fuzz over random trees x frozen load
 // states, and system-level determinism/differential properties.
@@ -12,7 +13,6 @@
 #include <limits>
 #include <set>
 #include <vector>
-#include <span>
 
 #include "dsrt/core/assigner.hpp"
 #include "dsrt/core/load_aware_strategies.hpp"
@@ -249,6 +249,106 @@ TEST(PodPlacement, IdleBoardTiesKeepTheFirstSample) {
   EXPECT_THROW(policy.place(ctx, {}), std::invalid_argument);
 }
 
+// --- Candidate views ------------------------------------------------------
+
+/// The "eligible minus taken" vector the assigner used to build before
+/// every decision.
+std::vector<NodeId> materialize(EligibleSet set,
+                                const std::vector<NodeId>& excluded) {
+  std::vector<NodeId> out;
+  for (const NodeId node : set)
+    if (!std::binary_search(excluded.begin(), excluded.end(), node))
+      out.push_back(node);
+  return out;
+}
+
+/// A random eligible set over ids below 130: a range, or an explicit list of
+/// distinct ids in random order (backed by `list`).
+EligibleSet random_eligible(Rng& rng, std::vector<NodeId>& list) {
+  const auto first = static_cast<NodeId>(rng.below(50));
+  const auto count = static_cast<std::uint32_t>(1 + rng.below(40));
+  if (rng.uniform01() < 0.5) return EligibleSet::range(first, count);
+  list = workload::sample_distinct_nodes(80, count, rng);
+  for (NodeId& node : list) node += first;
+  return EligibleSet(list);
+}
+
+/// A random sorted exclusion set: up to 8 ids, inside or outside the set.
+std::vector<NodeId> random_exclusions(Rng& rng) {
+  std::vector<NodeId> excluded =
+      workload::sample_distinct_nodes(130, rng.below(9), rng);
+  std::sort(excluded.begin(), excluded.end());
+  return excluded;
+}
+
+TEST(CandidateView, MatchesTheMaterializedCandidates) {
+  Rng rng(20261017);
+  std::vector<NodeId> list;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const EligibleSet set = random_eligible(rng, list);
+    const std::vector<NodeId> excluded = random_exclusions(rng);
+    const CandidateView view(set, excluded);
+    const std::vector<NodeId> want = materialize(set, excluded);
+    ASSERT_EQ(view.size(), want.size());
+    EXPECT_EQ(view.empty(), want.empty());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(view[i], want[i]) << "trial " << trial << " i=" << i;
+    EXPECT_EQ(std::vector<NodeId>(view.begin(), view.end()), want);
+    for (NodeId node = 0; node < 130; ++node)
+      EXPECT_EQ(view.contains(node),
+                std::find(want.begin(), want.end(), node) != want.end());
+  }
+}
+
+TEST(CandidateView, PoliciesPickTheSameAsOverTheMaterializedSpan) {
+  // Every policy, fed the same decisions once through a view and once
+  // through the materialized vector, picks the same nodes and ends with
+  // the same counters and the same sampling/tie-rotation state.
+  for (const char* name :
+       {"static", "jsq-pex", "jsq-util", "pod:1", "pod:2", "pod:5"}) {
+    SCOPED_TRACE(name);
+    const PlacementSpec spec = PlacementSpec::parse(name);
+    const auto over_view = make_placement(spec, 9);
+    const auto over_span = make_placement(spec, 9);
+    Rng rng(4242);
+    std::vector<NodeLoad> loads(130);
+    for (NodeLoad& load : loads) {
+      // Coarse keys, so exact ties are common; a few nodes are down.
+      load.queued_pex = static_cast<double>(rng.below(4));
+      load.utilization = static_cast<double>(rng.below(3)) / 2;
+      load.down = rng.uniform01() < 0.05;
+    }
+    const FixedLoadModel model(loads);
+    std::vector<NodeId> list;
+    for (int decision = 0; decision < 2000; ++decision) {
+      const EligibleSet set = random_eligible(rng, list);
+      const std::vector<NodeId> excluded = random_exclusions(rng);
+      const std::vector<NodeId> want = materialize(set, excluded);
+      if (want.empty()) continue;
+      PlacementContext ctx;
+      ctx.load = decision % 5 == 0 ? nullptr : &model;
+      ctx.hint = static_cast<NodeId>(rng.below(130));
+      ASSERT_EQ(over_view->place(ctx, CandidateView(set, excluded)),
+                over_span->place(ctx, want))
+          << decision;
+    }
+    const PlacementCounters& a = over_view->counters();
+    const PlacementCounters& b = over_span->counters();
+    EXPECT_EQ(a.decisions, b.decisions);
+    EXPECT_EQ(a.exact_ties, b.exact_ties);
+    EXPECT_EQ(a.hint_fallbacks, b.hint_fallbacks);
+    if (const auto* jsq = dynamic_cast<const JsqPlacement*>(over_view.get())) {
+      EXPECT_EQ(jsq->decisions(),
+                dynamic_cast<const JsqPlacement&>(*over_span).decisions());
+    }
+    if (const auto* pod = dynamic_cast<const PodPlacement*>(over_view.get())) {
+      Rng x = pod->rng();
+      Rng y = dynamic_cast<const PodPlacement&>(*over_span).rng();
+      for (int k = 0; k < 4; ++k) EXPECT_EQ(x(), y());
+    }
+  }
+}
+
 // --- TaskSpec eligible sets -----------------------------------------------
 
 TEST(TaskSpecPlacement, SimpleAmongValidatesAndPrints) {
@@ -272,7 +372,7 @@ TEST(TaskSpecPlacement, SimpleAmongValidatesAndPrints) {
 
 // --- Deferred generation: seed-stream equivalence -------------------------
 
-std::vector<NodeId> to_vec(std::span<const NodeId> s) {
+std::vector<NodeId> to_vec(EligibleSet s) {
   return std::vector<NodeId>(s.begin(), s.end());
 }
 
@@ -419,6 +519,45 @@ TEST(TaskInstancePlacement, NoPolicyKeepsTheHint) {
   ASSERT_EQ(subs.size(), 2u);
   EXPECT_EQ(subs[0].node, 4u);
   EXPECT_EQ(subs[1].node, 2u);
+}
+
+TEST(TaskInstancePlacement, DeferredSpecsAtK4096HoldNoEligiblePool) {
+  // Range-form eligible sets live in the vertex: a deferred serial spec
+  // over 4096 nodes is exactly as large as one over 6 nodes.
+  const auto dist = sim::exponential(1.0);
+  const auto pex = workload::make_perfect_prediction();
+  TaskSpecBuilder builder;
+  TaskSpec wide, narrow;
+  Rng a(5), b(5);
+  builder.reset(wide);
+  workload::fill_serial_task(builder, 4, 4096, *dist, *pex, a, true);
+  builder.finish();
+  builder.reset(narrow);
+  workload::fill_serial_task(builder, 4, 6, *dist, *pex, b, true);
+  builder.finish();
+  EXPECT_TRUE(wide.eligible_pool().empty());
+  EXPECT_TRUE(narrow.eligible_pool().empty());
+  EXPECT_EQ(wide.size(), narrow.size());
+  for (const SpecView leaf : wide.children()) {
+    const EligibleSet set = leaf.eligible();
+    EXPECT_TRUE(set.is_range());
+    EXPECT_EQ(set.size(), 4096u);
+    EXPECT_EQ(set.front(), 0u);
+    EXPECT_EQ(set.back(), 4095u);
+  }
+  // Pod places every stage on a real node without touching the pool.
+  const auto pod = make_placement(PlacementSpec::parse("pod:2"), 3);
+  TaskInstance inst(1, wide, 0.0, 100.0, make_ud(), make_parallel_ud(),
+                    nullptr, pod.get());
+  const auto subs = drain_instance(inst);
+  ASSERT_EQ(subs.size(), 4u);
+  for (const auto& sub : subs) EXPECT_LT(sub.node, 4096u);
+  EXPECT_EQ(pod->counters().decisions, 4u);
+  // An explicit list stays a list, in the pool.
+  const TaskSpec listed = TaskSpec::simple_among(4, {7, 4, 9}, 1.0, 1.0);
+  EXPECT_FALSE(listed.eligible().is_range());
+  EXPECT_EQ(listed.eligible_pool().size(), 3u);
+  EXPECT_EQ(to_vec(listed.eligible()), (std::vector<NodeId>{7, 4, 9}));
 }
 
 // --- Fuzz: random trees x frozen load states ------------------------------

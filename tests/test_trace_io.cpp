@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "dsrt/core/task_spec.hpp"
 #include "dsrt/system/baseline.hpp"
@@ -53,6 +54,40 @@ TEST(TraceSpecGrammar, RoundTripsStructureExecAndEligibleSets) {
   // A contiguous eligible set prints as a range, a gapped one as a list.
   EXPECT_NE(text.find("{0..3}"), std::string::npos) << text;
   EXPECT_NE(text.find("{0|2|4}"), std::string::npos) << text;
+}
+
+TEST(TraceSpecGrammar, RangeAndListFormsWriteTheSameText) {
+  // A range is written straight from its two integers; a contiguous
+  // explicit list compresses to the same {lo..hi}; a one-node set is {x}
+  // in either form.
+  core::TaskSpecBuilder builder;
+  core::TaskSpec ranged, listed, parsed;
+  builder.reset(ranged);
+  builder.begin_serial();
+  builder.leaf_among(2, 0, 4, 1.5, 1.25);
+  builder.leaf_among(5, 5, 1, 0.5, 0.75);
+  builder.end();
+  builder.finish();
+  const std::vector<core::NodeId> four = {0, 1, 2, 3}, one = {5};
+  builder.reset(listed);
+  builder.begin_serial();
+  builder.leaf_among(2, four, 1.5, 1.25);
+  builder.leaf_among(5, one, 0.5, 0.75);
+  builder.end();
+  builder.finish();
+  EXPECT_FALSE(listed.eligible_pool().empty());
+  EXPECT_TRUE(ranged.eligible_pool().empty());
+
+  const std::string text = workload::format_spec(ranged);
+  EXPECT_EQ(workload::format_spec(listed), text);
+  EXPECT_NE(text.find("@2{0..3}"), std::string::npos) << text;
+  EXPECT_NE(text.find("@5{5}"), std::string::npos) << text;
+
+  // {lo..hi} parses back to the range form, and the text round-trips.
+  workload::parse_spec_into(text, builder, parsed);
+  EXPECT_TRUE(parsed.eligible_of(parsed.vertex(1)).is_range());
+  EXPECT_EQ(parsed.eligible_of(parsed.vertex(1)).size(), 4u);
+  EXPECT_EQ(workload::format_spec(parsed), text);
 }
 
 TEST(TraceSpecGrammar, RejectsMalformedShapes) {

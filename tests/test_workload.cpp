@@ -2,7 +2,12 @@
 // error models, and the statistical properties of the generated population.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "dsrt/sim/rng.hpp"
 #include "dsrt/stats/tally.hpp"
@@ -37,6 +42,64 @@ TEST(SampleDistinctNodes, FullPermutationWhenCountEqualsNodes) {
 TEST(SampleDistinctNodes, RejectsOversizedRequest) {
   Rng rng(3);
   EXPECT_THROW(sample_distinct_nodes(3, 4, rng), std::invalid_argument);
+}
+
+/// Dense reference partial Fisher-Yates: the O(n) algorithm the sparse
+/// PartialShuffle replays (identity permutation, draw i swaps position i
+/// with i + below(n - i), the sample is the prefix).
+std::vector<std::uint64_t> dense_partial_shuffle(std::uint64_t n,
+                                                 std::uint64_t count,
+                                                 Rng& rng) {
+  std::vector<std::uint64_t> idx(n);
+  std::iota(idx.begin(), idx.end(), std::uint64_t{0});
+  for (std::uint64_t i = 0; i < count; ++i)
+    std::swap(idx[i], idx[i + rng.below(n - i)]);
+  idx.resize(count);
+  return idx;
+}
+
+TEST(PartialShuffle, MatchesDenseFisherYatesDrawForDraw) {
+  // Random (n, count) pairs, including count == n, count == 0 and n far
+  // larger than count: same sample, in the same order, and the rng left in
+  // the same state (the next raw draws agree).
+  Rng pick(20261017);
+  dsrt::sim::PartialShuffle shuffle;  // reused: stale map entries must not leak
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::uint64_t n =
+        1 + pick.below(trial % 3 == 0 ? 8 : trial % 3 == 1 ? 300 : 5000);
+    const std::uint64_t count =
+        trial % 7 == 0 ? n : pick.below(std::min<std::uint64_t>(n, 40) + 1);
+    const std::uint64_t seed = pick();
+    Rng dense_rng(seed), sparse_rng(seed);
+    const auto want = dense_partial_shuffle(n, count, dense_rng);
+    shuffle.reset(n, count);
+    std::vector<std::uint64_t> got;
+    for (std::uint64_t i = 0; i < count; ++i)
+      got.push_back(shuffle.next(sparse_rng));
+    ASSERT_EQ(got, want) << "n=" << n << " count=" << count;
+    for (int k = 0; k < 4; ++k) ASSERT_EQ(sparse_rng(), dense_rng());
+  }
+  shuffle.reset(4, 1);
+  Rng rng(1);
+  shuffle.next(rng);
+  EXPECT_THROW(shuffle.next(rng), std::logic_error);
+}
+
+TEST(SampleDistinctNodes, MatchesDenseFisherYatesDrawForDraw) {
+  Rng pick(77);
+  ShapeScratch scratch;
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t nodes = 1 + pick.below(trial % 2 ? 12 : 4096);
+    const std::size_t count = pick.below(std::min<std::size_t>(nodes, 16) + 1);
+    const std::uint64_t seed = pick();
+    Rng dense_rng(seed), sparse_rng(seed);
+    const auto want = dense_partial_shuffle(nodes, count, dense_rng);
+    sample_distinct_nodes_into(nodes, count, sparse_rng, scratch);
+    ASSERT_EQ(scratch.sites.size(), count);
+    for (std::size_t i = 0; i < count; ++i)
+      ASSERT_EQ(scratch.sites[i], want[i]) << "nodes=" << nodes;
+    for (int k = 0; k < 4; ++k) ASSERT_EQ(sparse_rng(), dense_rng());
+  }
 }
 
 TEST(SampleDistinctNodes, RoughlyUniformFirstPosition) {
