@@ -15,13 +15,18 @@ using namespace dsrt;
 int main() {
   // --- Part 1: deadline assignment on a concrete task -------------------
   // Four serial subtasks with predicted execution times 2, 1, 4, 1 on
-  // nodes 0..3; the task arrives at t=0 with deadline 16 (slack 8).
-  const core::TaskSpec task = core::TaskSpec::serial({
-      core::TaskSpec::simple(0, 2.0),
-      core::TaskSpec::simple(1, 1.0),
-      core::TaskSpec::simple(2, 4.0),
-      core::TaskSpec::simple(3, 1.0),
-  });
+  // nodes 0..3; the task arrives at t=0 with deadline 16 (slack 8). The
+  // builder emits the tree in pre-order: open the serial group, one leaf
+  // (node, exec, pex) per stage, close the group, seal the spec.
+  core::TaskSpec task;
+  core::TaskSpecBuilder builder;
+  builder.reset(task);
+  builder.begin_serial();
+  const double pex[] = {2.0, 1.0, 4.0, 1.0};
+  for (core::NodeId node = 0; node < 4; ++node)
+    builder.leaf(node, pex[node], pex[node]);
+  builder.end();
+  builder.finish();
   std::printf("task: %s  total pex = %.1f\n", task.to_string().c_str(),
               task.predicted_duration());
 

@@ -47,18 +47,24 @@ const char* component_name(core::NodeId node) {
 }
 
 /// One program-trading task: gather quotes from three feeds in parallel,
-/// filter, analyze, trade. Times in seconds.
+/// filter, analyze, trade. Times in seconds; predictions are exact (pex ==
+/// ex).
 core::TaskSpec make_trading_task() {
-  return core::TaskSpec::serial({
-      core::TaskSpec::parallel({
-          core::TaskSpec::simple(kFeedNYSE, 8.0),
-          core::TaskSpec::simple(kFeedNASDAQ, 6.0),
-          core::TaskSpec::simple(kFeedForex, 10.0),
-      }),
-      core::TaskSpec::simple(kFilter, 12.0),
-      core::TaskSpec::simple(kExpert, 35.0),  // DB search + rule processing
-      core::TaskSpec::simple(kTrader, 5.0),
-  });
+  core::TaskSpec task;
+  core::TaskSpecBuilder b;
+  b.reset(task);
+  b.begin_serial();
+  b.begin_parallel();
+  b.leaf(kFeedNYSE, 8.0, 8.0);
+  b.leaf(kFeedNASDAQ, 6.0, 6.0);
+  b.leaf(kFeedForex, 10.0, 10.0);
+  b.end();
+  b.leaf(kFilter, 12.0, 12.0);
+  b.leaf(kExpert, 35.0, 35.0);  // DB search + rule processing
+  b.leaf(kTrader, 5.0, 5.0);
+  b.end();
+  b.finish();
+  return task;
 }
 
 void show_decomposition(const char* ssp_name, const char* psp_name) {

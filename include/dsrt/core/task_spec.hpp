@@ -40,44 +40,6 @@ struct SpecVertex {
 };
 static_assert(sizeof(SpecVertex) == 64, "SpecVertex is one cache line");
 
-class TaskSpec;
-class SpecView;
-
-/// Iterable view over the direct children of a vertex; elements are
-/// `SpecView` cursors. Returned by `TaskSpec::children()` /
-/// `SpecView::children()`.
-class SpecChildRange {
- public:
-  class iterator {
-   public:
-    iterator(const TaskSpec* spec, const std::uint32_t* it)
-        : spec_(spec), it_(it) {}
-    SpecView operator*() const;
-    iterator& operator++() {
-      ++it_;
-      return *this;
-    }
-    bool operator!=(const iterator& o) const { return it_ != o.it_; }
-    bool operator==(const iterator& o) const { return it_ == o.it_; }
-
-   private:
-    const TaskSpec* spec_;
-    const std::uint32_t* it_;
-  };
-
-  SpecChildRange(const TaskSpec* spec, std::span<const std::uint32_t> ids)
-      : spec_(spec), ids_(ids) {}
-  std::size_t size() const { return ids_.size(); }
-  bool empty() const { return ids_.empty(); }
-  SpecView operator[](std::size_t i) const;
-  iterator begin() const { return iterator(spec_, ids_.data()); }
-  iterator end() const { return iterator(spec_, ids_.data() + ids_.size()); }
-
- private:
-  const TaskSpec* spec_;
-  std::span<const std::uint32_t> ids_;
-};
-
 /// Immutable description of a global task's structure (Section 3.1):
 /// `T = [T1 T2 ... Tn]` (serial), `T = [T1 || T2 || ... || Tn]` (parallel),
 /// and arbitrary compositions thereof. Leaves are *simple subtasks* bound to
@@ -98,28 +60,14 @@ class SpecChildRange {
 /// Storage is *flat*: one pre-order vertex table plus shared pools for
 /// child indices and explicit eligible-node lists (a contiguous eligible
 /// range lives in its vertex, so a spec's size does not depend on how many
-/// nodes a leaf may use). The static builders below compose
-/// specs tree-style (each call merges the children's tables — convenient
-/// for tests and examples); the arrival hot path instead refills one
-/// reusable TaskSpec in place through `TaskSpecBuilder`, which allocates
-/// nothing once the buffers reached their high-water capacity.
+/// nodes a leaf may use). Specs are built only through `TaskSpecBuilder`,
+/// which refills one reusable TaskSpec in place and allocates nothing once
+/// the buffers reached their high-water capacity; readers walk the table
+/// by pre-order index (`vertex`, `children_of`, `eligible_of`).
 class TaskSpec {
  public:
   /// Empty spec; fill via `TaskSpecBuilder` before use.
   TaskSpec() = default;
-
-  /// Leaf: a simple subtask executing at `node`.
-  static TaskSpec simple(NodeId node, double exec, double pex);
-  /// Leaf with perfect prediction (pex == ex).
-  static TaskSpec simple(NodeId node, double exec);
-  /// Placeable leaf: may execute at any node of `eligible` (non-empty, must
-  /// contain `hint`); `hint` is the seed-compatible default binding.
-  static TaskSpec simple_among(NodeId hint, std::vector<NodeId> eligible,
-                               double exec, double pex);
-  /// Serial composition [c1 c2 ... cn]; n >= 1.
-  static TaskSpec serial(std::vector<TaskSpec> children);
-  /// Parallel composition [c1 || c2 || ... || cn]; n >= 1.
-  static TaskSpec parallel(std::vector<TaskSpec> children);
 
   /// True for a default-constructed (or reset-but-unfinished) spec.
   bool empty() const { return vertices_.empty(); }
@@ -143,32 +91,10 @@ class TaskSpec {
                                    vx.elig_count);
   }
 
-  /// Cursor over vertex `v` (tree-style navigation for tests/traces).
-  SpecView view(std::size_t v) const;
-  SpecView root() const;
-
-  // Root-level accessors (the pre-flattening TaskSpec API). All of them
-  // throw std::logic_error on an empty (default-constructed, not yet
-  // filled) spec rather than reading past the vertex table.
-  SpecKind kind() const;
-  bool is_simple() const { return kind() == SpecKind::Simple; }
-
-  /// Execution node of a simple subtask (the default binding of a
-  /// placeable leaf). Requires is_simple().
-  NodeId node() const;
-
-  /// Nodes a placeable leaf may execute on; empty for bound leaves (and
-  /// complex subtasks). The dispatch-time placement engine consults this.
-  EligibleSet eligible() const;
-  /// True when node binding is deferred to dispatch time.
-  bool placeable() const { return !eligible().empty(); }
-  /// Real execution time of a simple subtask. Requires is_simple().
-  double exec() const;
-  /// Predicted execution time of a simple subtask. Requires is_simple().
-  double pex() const;
-
-  /// Direct children of the root (empty range for a leaf).
-  SpecChildRange children() const;
+  // Whole-task readers. The ones that read the root vertex
+  // (predicted_duration, critical_path_exec, to_string) throw
+  // std::logic_error on an empty (default-constructed, not yet filled)
+  // spec rather than reading past the vertex table.
 
   /// Predicted end-to-end duration: pex for leaves, sum over serial
   /// children, max over parallel children. This is the "pex" of a complex
@@ -180,14 +106,8 @@ class TaskSpec {
   /// the minimum possible response time of the (sub)task. O(1).
   double critical_path_exec() const;
 
-  /// Total real work across all simple subtasks (sum of all leaf `ex`).
-  double total_exec() const;
-
   /// Number of simple subtasks in the tree.
   std::size_t leaf_count() const;
-
-  /// Height of the tree; 1 for a leaf.
-  std::size_t depth() const;
 
   /// Notation of Section 3.1, e.g. "[T@0 [T@1 || T@2] T@0]" where @n is the
   /// execution node. Useful in traces and examples.
@@ -203,54 +123,6 @@ class TaskSpec {
   std::vector<std::uint32_t> child_pool_; ///< per-group child vertex ids
   std::vector<NodeId> elig_pool_;         ///< explicit eligible lists
 };
-
-/// Read-only cursor over one vertex of a flat TaskSpec, presenting the same
-/// tree-style API the recursive TaskSpec used to: tests and traces navigate
-/// with `children()` / `child(i)` without knowing about the flat layout.
-/// Cheap to copy (pointer + index); valid as long as the spec is.
-class SpecView {
- public:
-  SpecView(const TaskSpec& spec, std::size_t v) : spec_(&spec), v_(v) {}
-
-  /// Pre-order vertex index within the owning spec.
-  std::size_t index() const { return v_; }
-
-  SpecKind kind() const { return vx().kind; }
-  bool is_simple() const { return vx().kind == SpecKind::Simple; }
-  NodeId node() const;
-  double exec() const;
-  double pex() const;
-  EligibleSet eligible() const { return spec_->eligible_of(vx()); }
-  bool placeable() const { return vx().elig_count != 0; }
-  double predicted_duration() const { return vx().pred_duration; }
-  double critical_path_exec() const { return vx().crit_exec; }
-
-  std::size_t child_count() const { return vx().child_count; }
-  SpecView child(std::size_t i) const;
-  SpecChildRange children() const {
-    return SpecChildRange(spec_, spec_->children_of(vx()));
-  }
-
- private:
-  const SpecVertex& vx() const { return spec_->vertex(v_); }
-
-  const TaskSpec* spec_;
-  std::size_t v_;
-};
-
-inline SpecView SpecChildRange::iterator::operator*() const {
-  return SpecView(*spec_, *it_);
-}
-inline SpecView SpecChildRange::operator[](std::size_t i) const {
-  return SpecView(*spec_, ids_[i]);
-}
-inline SpecView TaskSpec::view(std::size_t v) const {
-  return SpecView(*this, v);
-}
-inline SpecView TaskSpec::root() const { return SpecView(*this, 0); }
-inline SpecChildRange TaskSpec::children() const {
-  return SpecChildRange(this, children_of(root_vertex()));
-}
 
 /// Pre-order in-place builder of flat TaskSpecs — the arrival hot path's
 /// front door. `reset()` rebinds the builder to an output spec and clears
@@ -289,11 +161,6 @@ class TaskSpecBuilder {
   /// explicit list is copied into the spec's eligible pool.
   void leaf_among(NodeId hint, EligibleSet eligible, double exec,
                   double pex);
-
-  /// Appends a copy of `sub` (all of it) as the next child of the innermost
-  /// open group — the composing front-end (`TaskSpec::serial/parallel`)
-  /// uses this; it is not part of the allocation-free path.
-  void append_subtree(const TaskSpec& sub);
 
   /// Seals the spec: materializes child spans and computes the aggregates.
   /// All groups must be closed and the spec non-empty. Unbinds the builder.

@@ -20,8 +20,8 @@
 ///              trace export, deadline-miss attribution (registry below
 ///              system, the observers beside trace)
 ///   engine   - experiment orchestration: thread-pool replication/sweep
-///              runner, declarative parameter grids, seed derivation,
-///              structured result emitters (CSV / JSON / BENCH artifacts)
+///              runner, declarative parameter grids, structured result
+///              emitters (CSV / JSON / BENCH artifacts)
 ///   xp       - sweep harness: named manifest registry over the engine's
 ///              grids, sharded/resumable runner with JSONL artifacts,
 ///              tolerance-band checker against committed expectations,
@@ -38,7 +38,6 @@
 #include "dsrt/core/task_spec.hpp"
 #include "dsrt/engine/emit.hpp"
 #include "dsrt/engine/runner.hpp"
-#include "dsrt/engine/seed_sequence.hpp"
 #include "dsrt/engine/sweep.hpp"
 #include "dsrt/engine/thread_pool.hpp"
 #include "dsrt/fault/injector.hpp"

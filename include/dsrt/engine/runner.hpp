@@ -15,11 +15,6 @@ struct RunnerOptions {
   /// for every value — parallelism only changes wall time.
   std::size_t jobs = 0;
   double confidence = 0.95;
-  /// When true, each sweep point gets an independent seed derived from the
-  /// base config's seed via SeedSequence (point 0 keeps the base seed).
-  /// Default false: every point shares the config seed — common random
-  /// numbers across points, the paper's variance-reduction discipline.
-  bool reseed_points = false;
 };
 
 /// One executed grid point: its coordinates plus the replication aggregate.

@@ -20,7 +20,9 @@ class Flags {
   bool has(const std::string& name) const;
 
   /// Typed getters; return `fallback` when the flag is absent. Throw
-  /// std::invalid_argument when present but unparsable.
+  /// std::invalid_argument when present but unparsable; numbers must use
+  /// the whole value (`parse_double` / `parse_long`), so "4.7" is not an
+  /// integer and "2x" is not a number.
   std::string get(const std::string& name, const std::string& fallback) const;
   double get(const std::string& name, double fallback) const;
   long get(const std::string& name, long fallback) const;
@@ -48,5 +50,10 @@ std::vector<std::string> split(const std::string& text, char sep);
 /// strategy names, load-model periods), so strictness cannot drift
 /// between them.
 std::optional<double> parse_double(std::string_view text);
+
+/// Strict full-consume base-10 integer parse, the integer counterpart of
+/// `parse_double`: "4.7", "2x" and "" give nullopt, as does a value outside
+/// the range of long.
+std::optional<long> parse_long(std::string_view text);
 
 }  // namespace dsrt::util

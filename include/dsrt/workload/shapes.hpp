@@ -32,56 +32,37 @@ struct ShapeScratch {
 void sample_distinct_nodes_into(std::size_t nodes, std::size_t count,
                                 sim::Rng& rng, ShapeScratch& scratch);
 
-/// Samples `count` distinct node ids from [0, nodes); same draws as
-/// `sample_distinct_nodes_into`.
-std::vector<core::NodeId> sample_distinct_nodes(std::size_t nodes,
-                                                std::size_t count,
-                                                sim::Rng& rng);
+// The `fill_*` family emits one task of the given shape into `builder`
+// (already `reset()` onto the output spec; the caller calls `finish()`).
+// Each fill is the single source of truth for its shape's draw sequence,
+// so the common-random-numbers discipline cannot drift between callers.
+// Once the output spec's buffers are warm, a fill performs zero heap
+// allocations; this is the arrival hot path of `GlobalTaskSource`.
+//
+// Every fill takes a `defer_placement` flag. The RNG draw sequence is
+// *identical* either way (nodes are always drawn, preserving the
+// common-random-numbers discipline across placement policies and every
+// existing golden); with the flag set each leaf additionally carries its
+// eligible set — any compute node for serial stages and parallel-group
+// members (the group's distinct-site constraint is enforced by the
+// placement engine), the link-node range for transmission stages — and
+// the generation-time draw becomes a mere hint that `--placement=static`
+// reproduces verbatim.
 
-/// The `fill_*` family emits one task of the given shape into `builder`
-/// (already `reset()` onto the output spec; the caller calls `finish()`),
-/// drawing from `rng` in *exactly* the same order as the matching `make_*`
-/// builder below — the `make_*` functions are thin wrappers over these, so
-/// there is a single source of truth for the draw sequence and the
-/// common-random-numbers discipline cannot drift between the two paths.
-/// Once the output spec's buffers are warm, a fill performs zero heap
-/// allocations; this is the arrival hot path of `GlobalTaskSource`.
-///
-/// Every maker takes a `defer_placement` flag. The RNG draw sequence is
-/// *identical* either way (nodes are always drawn, preserving the
-/// common-random-numbers discipline across placement policies and every
-/// existing golden); with the flag set each leaf additionally carries its
-/// eligible set — any compute node for serial stages and parallel-group
-/// members (the group's distinct-site constraint is enforced by the
-/// placement engine), the link-node range for transmission stages — and
-/// the generation-time draw becomes a mere hint that `--placement=static`
-/// reproduces verbatim.
+/// The SSP workload's task shape (Section 4): T = [T1 T2 ... Tm], each
+/// subtask's execution time drawn from `exec_dist`, execution node drawn
+/// uniformly (with replacement) from the `nodes` nodes.
 void fill_serial_task(core::TaskSpecBuilder& builder, std::size_t subtasks,
                       std::size_t nodes, const sim::Distribution& exec_dist,
                       const PexErrorModel& pex_error, sim::Rng& rng,
                       bool defer_placement);
 
+/// The PSP workload's task shape (Section 5): T = [T1 || T2 || ... || Tm]
+/// at m *different* nodes. Requires subtasks <= nodes.
 void fill_parallel_task(core::TaskSpecBuilder& builder, std::size_t subtasks,
                         std::size_t nodes, const sim::Distribution& exec_dist,
                         const PexErrorModel& pex_error, sim::Rng& rng,
                         bool defer_placement, ShapeScratch& scratch);
-
-/// Builds the SSP workload's task shape (Section 4): T = [T1 T2 ... Tm],
-/// each subtask's execution time drawn from `exec_dist`, execution node
-/// drawn uniformly (with replacement) from the `nodes` nodes.
-core::TaskSpec make_serial_task(std::size_t subtasks, std::size_t nodes,
-                                const sim::Distribution& exec_dist,
-                                const PexErrorModel& pex_error, sim::Rng& rng,
-                                bool defer_placement = false);
-
-/// Builds the PSP workload's task shape (Section 5):
-/// T = [T1 || T2 || ... || Tm] at m *different* nodes. Requires
-/// subtasks <= nodes.
-core::TaskSpec make_parallel_task(std::size_t subtasks, std::size_t nodes,
-                                  const sim::Distribution& exec_dist,
-                                  const PexErrorModel& pex_error,
-                                  sim::Rng& rng,
-                                  bool defer_placement = false);
 
 /// Parameters of the Section 6 serial-parallel shape: a serial chain of
 /// `stages` stages; each stage is, with probability `parallel_prob`, a
@@ -100,6 +81,7 @@ struct SerialParallelShape {
   double expected_critical_path(double mean_exec) const;
 };
 
+/// One Section 6 serial-parallel task.
 void fill_serial_parallel_task(core::TaskSpecBuilder& builder,
                                const SerialParallelShape& shape,
                                std::size_t nodes,
@@ -107,14 +89,11 @@ void fill_serial_parallel_task(core::TaskSpecBuilder& builder,
                                const PexErrorModel& pex_error, sim::Rng& rng,
                                bool defer_placement, ShapeScratch& scratch);
 
-/// Builds one Section 6 serial-parallel task.
-core::TaskSpec make_serial_parallel_task(const SerialParallelShape& shape,
-                                         std::size_t nodes,
-                                         const sim::Distribution& exec_dist,
-                                         const PexErrorModel& pex_error,
-                                         sim::Rng& rng,
-                                         bool defer_placement = false);
-
+/// Section 6 shape with Section 3.2 network modeling: a transmission
+/// subtask (on a uniformly chosen link node, ids nodes..nodes+link_nodes-1,
+/// service from `comm_dist`) is inserted between consecutive stages —
+/// results of a stage must reach the next stage's site(s) before it can
+/// start. Requires link_nodes >= 1.
 void fill_serial_parallel_task_with_comm(
     core::TaskSpecBuilder& builder, const SerialParallelShape& shape,
     std::size_t nodes, std::size_t link_nodes,
@@ -122,17 +101,13 @@ void fill_serial_parallel_task_with_comm(
     const PexErrorModel& pex_error, sim::Rng& rng, bool defer_placement,
     ShapeScratch& scratch);
 
-/// Section 6 shape with Section 3.2 network modeling: a transmission
-/// subtask (on a uniformly chosen link node, ids nodes..nodes+link_nodes-1,
-/// service from `comm_dist`) is inserted between consecutive stages —
-/// results of a stage must reach the next stage's site(s) before it can
-/// start. Requires link_nodes >= 1.
-core::TaskSpec make_serial_parallel_task_with_comm(
-    const SerialParallelShape& shape, std::size_t nodes,
-    std::size_t link_nodes, const sim::Distribution& exec_dist,
-    const sim::Distribution& comm_dist, const PexErrorModel& pex_error,
-    sim::Rng& rng, bool defer_placement = false);
-
+/// Section 3.2's treatment of the network: "even the communication network
+/// is considered a resource and is subsumed as one or more processing
+/// nodes". Emits T = [T1 C1 T2 C2 ... Tm]: compute subtasks on the k
+/// compute nodes (ids 0..nodes-1) with a transmission subtask between
+/// consecutive stages, placed on a uniformly chosen link node (ids
+/// nodes..nodes+link_nodes-1) with service from `comm_dist`.
+/// Requires link_nodes >= 1 and subtasks >= 1.
 void fill_serial_task_with_comm(core::TaskSpecBuilder& builder,
                                 std::size_t subtasks, std::size_t nodes,
                                 std::size_t link_nodes,
@@ -140,19 +115,6 @@ void fill_serial_task_with_comm(core::TaskSpecBuilder& builder,
                                 const sim::Distribution& comm_dist,
                                 const PexErrorModel& pex_error, sim::Rng& rng,
                                 bool defer_placement);
-
-/// Section 3.2's treatment of the network: "even the communication network
-/// is considered a resource and is subsumed as one or more processing
-/// nodes". Builds T = [T1 C1 T2 C2 ... Tm]: compute subtasks on the k
-/// compute nodes (ids 0..nodes-1) with a transmission subtask between
-/// consecutive stages, placed on a uniformly chosen link node (ids
-/// nodes..nodes+link_nodes-1) with service from `comm_dist`.
-/// Requires link_nodes >= 1 and subtasks >= 1.
-core::TaskSpec make_serial_task_with_comm(
-    std::size_t subtasks, std::size_t nodes, std::size_t link_nodes,
-    const sim::Distribution& exec_dist, const sim::Distribution& comm_dist,
-    const PexErrorModel& pex_error, sim::Rng& rng,
-    bool defer_placement = false);
 
 /// n-th harmonic number H_n = 1 + 1/2 + ... + 1/n (mean of the max of n iid
 /// exponentials in units of their mean).

@@ -7,11 +7,6 @@ namespace dsrt::core {
 
 namespace {
 
-const SpecVertex& require_simple(const SpecVertex& vx, const char* what) {
-  if (vx.kind != SpecKind::Simple) throw std::logic_error(what);
-  return vx;
-}
-
 void spec_to_string(const TaskSpec& spec, std::size_t v, std::string& out) {
   const SpecVertex& vx = spec.vertex(v);
   if (vx.kind == SpecKind::Simple) {
@@ -32,81 +27,12 @@ void spec_to_string(const TaskSpec& spec, std::size_t v, std::string& out) {
 
 }  // namespace
 
-// --- TaskSpec: composing front-end -----------------------------------------
-
-TaskSpec TaskSpec::simple(NodeId node, double exec, double pex) {
-  TaskSpec spec;
-  TaskSpecBuilder b;
-  b.reset(spec);
-  b.leaf(node, exec, pex);
-  b.finish();
-  return spec;
-}
-
-TaskSpec TaskSpec::simple(NodeId node, double exec) {
-  return simple(node, exec, exec);
-}
-
-TaskSpec TaskSpec::simple_among(NodeId hint, std::vector<NodeId> eligible,
-                                double exec, double pex) {
-  TaskSpec spec;
-  TaskSpecBuilder b;
-  b.reset(spec);
-  b.leaf_among(hint, EligibleSet(eligible), exec, pex);
-  b.finish();
-  return spec;
-}
-
-TaskSpec TaskSpec::serial(std::vector<TaskSpec> children) {
-  if (children.empty())
-    throw std::invalid_argument("TaskSpec::serial: no children");
-  TaskSpec spec;
-  TaskSpecBuilder b;
-  b.reset(spec);
-  b.begin_serial();
-  for (const TaskSpec& c : children) b.append_subtree(c);
-  b.end();
-  b.finish();
-  return spec;
-}
-
-TaskSpec TaskSpec::parallel(std::vector<TaskSpec> children) {
-  if (children.empty())
-    throw std::invalid_argument("TaskSpec::parallel: no children");
-  TaskSpec spec;
-  TaskSpecBuilder b;
-  b.reset(spec);
-  b.begin_parallel();
-  for (const TaskSpec& c : children) b.append_subtree(c);
-  b.end();
-  b.finish();
-  return spec;
-}
-
-// --- TaskSpec: root-level accessors ----------------------------------------
+// --- TaskSpec ---------------------------------------------------------------
 
 const SpecVertex& TaskSpec::root_vertex() const {
   if (vertices_.empty())
     throw std::logic_error("TaskSpec: accessor on an empty spec");
   return vertices_[0];
-}
-
-SpecKind TaskSpec::kind() const { return root_vertex().kind; }
-
-NodeId TaskSpec::node() const {
-  return require_simple(root_vertex(), "TaskSpec::node on complex task").node;
-}
-
-double TaskSpec::exec() const {
-  return require_simple(root_vertex(), "TaskSpec::exec on complex task").exec;
-}
-
-double TaskSpec::pex() const {
-  return require_simple(root_vertex(), "TaskSpec::pex on complex task").pex;
-}
-
-EligibleSet TaskSpec::eligible() const {
-  return eligible_of(root_vertex());
 }
 
 double TaskSpec::predicted_duration() const {
@@ -117,13 +43,6 @@ double TaskSpec::critical_path_exec() const {
   return root_vertex().crit_exec;
 }
 
-double TaskSpec::total_exec() const {
-  double total = 0;
-  for (const SpecVertex& vx : vertices_)
-    if (vx.kind == SpecKind::Simple) total += vx.exec;
-  return total;
-}
-
 std::size_t TaskSpec::leaf_count() const {
   std::size_t n = 0;
   for (const SpecVertex& vx : vertices_)
@@ -131,41 +50,11 @@ std::size_t TaskSpec::leaf_count() const {
   return n;
 }
 
-std::size_t TaskSpec::depth() const {
-  // Pre-order guarantees parents precede children, so one forward pass
-  // carrying per-vertex depths suffices. Cold path; the scratch is local.
-  std::vector<std::uint32_t> level(vertices_.size(), 1);
-  std::uint32_t deepest = vertices_.empty() ? 0 : 1;
-  for (std::size_t v = 1; v < vertices_.size(); ++v) {
-    level[v] = level[static_cast<std::size_t>(vertices_[v].parent)] + 1;
-    deepest = std::max(deepest, level[v]);
-  }
-  return deepest;
-}
-
 std::string TaskSpec::to_string() const {
   (void)root_vertex();  // empty-spec guard
   std::string out;
   spec_to_string(*this, 0, out);
   return out;
-}
-
-// --- SpecView ---------------------------------------------------------------
-
-NodeId SpecView::node() const {
-  return require_simple(vx(), "TaskSpec::node on complex task").node;
-}
-
-double SpecView::exec() const {
-  return require_simple(vx(), "TaskSpec::exec on complex task").exec;
-}
-
-double SpecView::pex() const {
-  return require_simple(vx(), "TaskSpec::pex on complex task").pex;
-}
-
-SpecView SpecView::child(std::size_t i) const {
-  return SpecView(*spec_, spec_->children_of(vx())[i]);
 }
 
 // --- TaskSpecBuilder --------------------------------------------------------
@@ -249,32 +138,6 @@ void TaskSpecBuilder::leaf_among(NodeId hint, EligibleSet eligible,
   vx.elig_listed = true;
   out_->elig_pool_.insert(out_->elig_pool_.end(), eligible.begin(),
                           eligible.end());
-}
-
-void TaskSpecBuilder::append_subtree(const TaskSpec& sub) {
-  if (sub.empty())
-    throw std::invalid_argument("TaskSpecBuilder: empty subtree");
-  if (!out_) throw std::logic_error("TaskSpecBuilder: not bound (reset first)");
-  if (open_groups_.empty() && !out_->vertices_.empty())
-    throw std::logic_error("TaskSpecBuilder: spec already has a root");
-  const auto base = static_cast<std::uint32_t>(out_->vertices_.size());
-  const auto elig_base = static_cast<std::uint32_t>(out_->elig_pool_.size());
-  out_->vertices_.insert(out_->vertices_.end(), sub.vertices_.begin(),
-                         sub.vertices_.end());
-  out_->elig_pool_.insert(out_->elig_pool_.end(), sub.elig_pool_.begin(),
-                          sub.elig_pool_.end());
-  for (std::size_t v = base; v < out_->vertices_.size(); ++v) {
-    SpecVertex& vx = out_->vertices_[v];
-    if (vx.elig_listed) vx.elig_begin += elig_base;
-    if (vx.parent >= 0) {
-      vx.parent += static_cast<std::int32_t>(base);
-    } else if (!open_groups_.empty()) {
-      const std::uint32_t g = open_groups_.back();
-      vx.parent = static_cast<std::int32_t>(g);
-      vx.index_in_parent = out_->vertices_[g].child_count++;
-    }
-    // child_begin is stale offset data from `sub`; finish() recomputes it.
-  }
 }
 
 void TaskSpecBuilder::finish() {

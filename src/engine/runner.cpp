@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dsrt/engine/seed_sequence.hpp"
 #include "dsrt/engine/thread_pool.hpp"
 #include "dsrt/system/simulation.hpp"
 
@@ -37,11 +36,6 @@ SweepResult Runner::run_sweep(const SweepGrid& grid,
   const auto start = std::chrono::steady_clock::now();
 
   std::vector<SweepPoint> points = grid.expand(base);
-  if (options_.reseed_points) {
-    const SeedSequence seeds(base.seed);
-    for (SweepPoint& point : points)
-      point.config.seed = seeds.seed_for(point.ordinal);
-  }
   for (const SweepPoint& point : points) point.config.validate();
 
   // Flatten to (point, replication) units so narrow-but-deep and

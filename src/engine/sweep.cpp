@@ -29,15 +29,11 @@ double parse_double(const std::string& field, const std::string& text) {
 /// Strict non-negative integer parse, so a label like "4.7" can never end
 /// up naming a silently truncated nodes/m value.
 std::size_t parse_count(const std::string& field, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const long v = std::stol(text, &used);
-    if (used != text.size() || v < 0) throw std::invalid_argument(text);
-    return static_cast<std::size_t>(v);
-  } catch (const std::exception&) {
+  const auto v = util::parse_long(text);
+  if (!v || *v < 0)
     throw std::invalid_argument("SweepAxis::by_field: bad value '" + text +
                                 "' for integer field '" + field + "'");
-  }
+  return static_cast<std::size_t>(*v);
 }
 
 }  // namespace

@@ -8,6 +8,21 @@
 
 namespace dsrt::system {
 
+namespace {
+
+/// A count flag (nodes, subtasks, stages, ...): an integer that must not be
+/// negative, so "--nodes=-1" fails here instead of wrapping to 2^64 - 1.
+std::size_t count_flag(const util::Flags& flags, const std::string& name,
+                       std::size_t fallback) {
+  const long v = flags.get(name, static_cast<long>(fallback));
+  if (v < 0)
+    throw std::invalid_argument("config_from_flags: --" + name +
+                                " must be >= 0");
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
+
 Config config_from_flags(const util::Flags& flags) {
   const std::string shape = flags.get("shape", std::string("serial"));
   Config cfg;
@@ -24,10 +39,8 @@ Config config_from_flags(const util::Flags& flags) {
 
   cfg.load = flags.get("load", cfg.load);
   cfg.frac_local = flags.get("frac_local", cfg.frac_local);
-  cfg.nodes = static_cast<std::size_t>(
-      flags.get("nodes", static_cast<long>(cfg.nodes)));
-  cfg.subtasks = static_cast<std::size_t>(
-      flags.get("m", static_cast<long>(cfg.subtasks)));
+  cfg.nodes = count_flag(flags, "nodes", cfg.nodes);
+  cfg.subtasks = count_flag(flags, "m", cfg.subtasks);
   cfg.rel_flex = flags.get("rel_flex", cfg.rel_flex);
 
   if (flags.has("ssp"))
@@ -85,15 +98,13 @@ Config config_from_flags(const util::Flags& flags) {
     cfg.subtask_count = sim::uniform(lo, hi);
   }
 
-  cfg.sp_shape.stages = static_cast<std::size_t>(
-      flags.get("sp_stages", static_cast<long>(cfg.sp_shape.stages)));
+  cfg.sp_shape.stages = count_flag(flags, "sp_stages", cfg.sp_shape.stages);
   cfg.sp_shape.parallel_prob =
       flags.get("sp_prob", cfg.sp_shape.parallel_prob);
-  cfg.sp_shape.parallel_width = static_cast<std::size_t>(
-      flags.get("sp_width", static_cast<long>(cfg.sp_shape.parallel_width)));
+  cfg.sp_shape.parallel_width =
+      count_flag(flags, "sp_width", cfg.sp_shape.parallel_width);
 
-  cfg.link_nodes =
-      static_cast<std::size_t>(flags.get("links", 0L));
+  cfg.link_nodes = count_flag(flags, "links", 0);
   if (cfg.link_nodes > 0)
     cfg.comm_exec = sim::exponential(flags.get("hop", 0.25));
 

@@ -83,8 +83,7 @@ void ProcessManager::submit_global(const core::TaskSpec& spec,
   ++metrics_.global.generated;
   const core::TaskId id = next_task_id_++;
   if (faults_ && faults_->spec().shed &&
-      sim_.now() + faults_->spec().shed_margin *
-                       spec.root().predicted_duration() >
+      sim_.now() + faults_->spec().shed_margin * spec.predicted_duration() >
           deadline) {
     // The critical path alone (zero queueing, the most optimistic finish)
     // already overruns the deadline: shed at dispatch, before a slot or

@@ -36,24 +36,22 @@ std::string Flags::get(const std::string& name,
 double Flags::get(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
+  const auto v = parse_double(it->second);
+  if (!v)
     throw std::invalid_argument("flag --" + name + ": expected number, got '" +
                                 it->second + "'");
-  }
+  return *v;
 }
 
 long Flags::get(const std::string& name, long fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stol(it->second);
-  } catch (const std::exception&) {
+  const auto v = parse_long(it->second);
+  if (!v)
     throw std::invalid_argument("flag --" + name +
                                 ": expected integer, got '" + it->second +
                                 "'");
-  }
+  return *v;
 }
 
 bool Flags::get(const std::string& name, bool fallback) const {
@@ -89,6 +87,18 @@ std::optional<double> parse_double(std::string_view text) {
   try {
     std::size_t used = 0;
     const double v = std::stod(std::string(text), &used);
+    if (used != text.size()) return std::nullopt;
+    return v;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+std::optional<long> parse_long(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  try {
+    std::size_t used = 0;
+    const long v = std::stol(std::string(text), &used);
     if (used != text.size()) return std::nullopt;
     return v;
   } catch (const std::exception&) {

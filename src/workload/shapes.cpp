@@ -1,7 +1,6 @@
 #include "dsrt/workload/shapes.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace dsrt::workload {
 
@@ -15,14 +14,6 @@ void sample_distinct_nodes_into(std::size_t nodes, std::size_t count,
   for (std::size_t i = 0; i < count; ++i)
     scratch.sites.push_back(
         static_cast<core::NodeId>(scratch.shuffle.next(rng)));
-}
-
-std::vector<core::NodeId> sample_distinct_nodes(std::size_t nodes,
-                                                std::size_t count,
-                                                sim::Rng& rng) {
-  ShapeScratch scratch;
-  sample_distinct_nodes_into(nodes, count, rng, scratch);
-  return std::move(scratch.sites);
 }
 
 namespace {
@@ -66,21 +57,10 @@ void emit_sp_stage(core::TaskSpecBuilder& b, const SerialParallelShape& shape,
 
 void check_sp_shape(const SerialParallelShape& shape, std::size_t nodes) {
   if (shape.stages == 0)
-    throw std::invalid_argument("make_serial_parallel_task: no stages");
+    throw std::invalid_argument("fill_serial_parallel_task: no stages");
   if (shape.parallel_width == 0 || shape.parallel_width > nodes)
     throw std::invalid_argument(
-        "make_serial_parallel_task: bad parallel width");
-}
-
-/// Wraps a fill function into the one-shot composing API.
-template <typename Fill>
-core::TaskSpec make_with(Fill&& fill) {
-  core::TaskSpec spec;
-  core::TaskSpecBuilder b;
-  b.reset(spec);
-  fill(b);
-  b.finish();
-  return spec;
+        "fill_serial_parallel_task: bad parallel width");
 }
 
 }  // namespace
@@ -89,8 +69,8 @@ void fill_serial_task(core::TaskSpecBuilder& b, std::size_t subtasks,
                       std::size_t nodes, const sim::Distribution& exec_dist,
                       const PexErrorModel& pex_error, sim::Rng& rng,
                       bool defer_placement) {
-  if (subtasks == 0) throw std::invalid_argument("make_serial_task: m == 0");
-  if (nodes == 0) throw std::invalid_argument("make_serial_task: no nodes");
+  if (subtasks == 0) throw std::invalid_argument("fill_serial_task: m == 0");
+  if (nodes == 0) throw std::invalid_argument("fill_serial_task: no nodes");
   b.begin_serial();
   for (std::size_t i = 0; i < subtasks; ++i) {
     const auto node = static_cast<core::NodeId>(rng.below(nodes));
@@ -100,38 +80,17 @@ void fill_serial_task(core::TaskSpecBuilder& b, std::size_t subtasks,
   b.end();
 }
 
-core::TaskSpec make_serial_task(std::size_t subtasks, std::size_t nodes,
-                                const sim::Distribution& exec_dist,
-                                const PexErrorModel& pex_error,
-                                sim::Rng& rng, bool defer_placement) {
-  return make_with([&](core::TaskSpecBuilder& b) {
-    fill_serial_task(b, subtasks, nodes, exec_dist, pex_error, rng,
-                     defer_placement);
-  });
-}
-
 void fill_parallel_task(core::TaskSpecBuilder& b, std::size_t subtasks,
                         std::size_t nodes, const sim::Distribution& exec_dist,
                         const PexErrorModel& pex_error, sim::Rng& rng,
                         bool defer_placement, ShapeScratch& scratch) {
-  if (subtasks == 0) throw std::invalid_argument("make_parallel_task: m == 0");
+  if (subtasks == 0) throw std::invalid_argument("fill_parallel_task: m == 0");
   sample_distinct_nodes_into(nodes, subtasks, rng, scratch);
   b.begin_parallel();
   for (const auto node : scratch.sites)
     emit_leaf_among(b, node, defer_placement, 0, nodes, exec_dist, pex_error,
                     rng);
   b.end();
-}
-
-core::TaskSpec make_parallel_task(std::size_t subtasks, std::size_t nodes,
-                                  const sim::Distribution& exec_dist,
-                                  const PexErrorModel& pex_error,
-                                  sim::Rng& rng, bool defer_placement) {
-  ShapeScratch scratch;
-  return make_with([&](core::TaskSpecBuilder& b) {
-    fill_parallel_task(b, subtasks, nodes, exec_dist, pex_error, rng,
-                       defer_placement, scratch);
-  });
 }
 
 double SerialParallelShape::expected_leaves() const {
@@ -159,18 +118,6 @@ void fill_serial_parallel_task(core::TaskSpecBuilder& b,
   b.end();
 }
 
-core::TaskSpec make_serial_parallel_task(const SerialParallelShape& shape,
-                                         std::size_t nodes,
-                                         const sim::Distribution& exec_dist,
-                                         const PexErrorModel& pex_error,
-                                         sim::Rng& rng, bool defer_placement) {
-  ShapeScratch scratch;
-  return make_with([&](core::TaskSpecBuilder& b) {
-    fill_serial_parallel_task(b, shape, nodes, exec_dist, pex_error, rng,
-                              defer_placement, scratch);
-  });
-}
-
 void fill_serial_parallel_task_with_comm(
     core::TaskSpecBuilder& b, const SerialParallelShape& shape,
     std::size_t nodes, std::size_t link_nodes,
@@ -180,7 +127,7 @@ void fill_serial_parallel_task_with_comm(
   check_sp_shape(shape, nodes);
   if (link_nodes == 0)
     throw std::invalid_argument(
-        "make_serial_parallel_task_with_comm: no link nodes");
+        "fill_serial_parallel_task_with_comm: no link nodes");
   b.begin_serial();
   for (std::size_t s = 0; s < shape.stages; ++s) {
     if (s > 0) {
@@ -195,19 +142,6 @@ void fill_serial_parallel_task_with_comm(
   b.end();
 }
 
-core::TaskSpec make_serial_parallel_task_with_comm(
-    const SerialParallelShape& shape, std::size_t nodes,
-    std::size_t link_nodes, const sim::Distribution& exec_dist,
-    const sim::Distribution& comm_dist, const PexErrorModel& pex_error,
-    sim::Rng& rng, bool defer_placement) {
-  ShapeScratch scratch;
-  return make_with([&](core::TaskSpecBuilder& b) {
-    fill_serial_parallel_task_with_comm(b, shape, nodes, link_nodes,
-                                        exec_dist, comm_dist, pex_error, rng,
-                                        defer_placement, scratch);
-  });
-}
-
 void fill_serial_task_with_comm(core::TaskSpecBuilder& b,
                                 std::size_t subtasks, std::size_t nodes,
                                 std::size_t link_nodes,
@@ -216,11 +150,11 @@ void fill_serial_task_with_comm(core::TaskSpecBuilder& b,
                                 const PexErrorModel& pex_error, sim::Rng& rng,
                                 bool defer_placement) {
   if (subtasks == 0)
-    throw std::invalid_argument("make_serial_task_with_comm: m == 0");
+    throw std::invalid_argument("fill_serial_task_with_comm: m == 0");
   if (nodes == 0)
-    throw std::invalid_argument("make_serial_task_with_comm: no nodes");
+    throw std::invalid_argument("fill_serial_task_with_comm: no nodes");
   if (link_nodes == 0)
-    throw std::invalid_argument("make_serial_task_with_comm: no link nodes");
+    throw std::invalid_argument("fill_serial_task_with_comm: no link nodes");
   b.begin_serial();
   for (std::size_t i = 0; i < subtasks; ++i) {
     if (i > 0) {
@@ -234,16 +168,6 @@ void fill_serial_task_with_comm(core::TaskSpecBuilder& b,
                     rng);
   }
   b.end();
-}
-
-core::TaskSpec make_serial_task_with_comm(
-    std::size_t subtasks, std::size_t nodes, std::size_t link_nodes,
-    const sim::Distribution& exec_dist, const sim::Distribution& comm_dist,
-    const PexErrorModel& pex_error, sim::Rng& rng, bool defer_placement) {
-  return make_with([&](core::TaskSpecBuilder& b) {
-    fill_serial_task_with_comm(b, subtasks, nodes, link_nodes, exec_dist,
-                               comm_dist, pex_error, rng, defer_placement);
-  });
 }
 
 double harmonic(std::size_t n) {

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -35,29 +36,26 @@ double parse_hex_double(std::string_view text, const char* what,
 
 std::size_t parse_size(std::string_view text, const char* what,
                        std::size_t line_no) {
-  const std::string s(text);
-  try {
-    std::size_t used = 0;
-    const long v = std::stol(s, &used);
-    if (used != s.size() || v < 0) throw std::invalid_argument(s);
-    return static_cast<std::size_t>(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("Trace: bad " + std::string(what) + " '" + s +
-                                "' at line " + std::to_string(line_no));
-  }
+  const auto v = util::parse_long(text);
+  if (!v || *v < 0)
+    throw std::invalid_argument("Trace: bad " + std::string(what) + " '" +
+                                std::string(text) + "' at line " +
+                                std::to_string(line_no));
+  return static_cast<std::size_t>(*v);
 }
 
 // --- shape grammar -----------------------------------------------------------
 
-void format_vertex(const core::TaskSpec& spec, const core::SpecView& v,
+void format_vertex(const core::TaskSpec& spec, std::size_t v,
                    std::string& out) {
-  if (v.is_simple()) {
-    out += hex_double(v.exec());
+  const core::SpecVertex& vx = spec.vertex(v);
+  if (vx.kind == core::SpecKind::Simple) {
+    out += hex_double(vx.exec);
     out += '/';
-    out += hex_double(v.pex());
+    out += hex_double(vx.pex);
     out += '@';
-    out += std::to_string(v.node());
-    const auto eligible = v.eligible();
+    out += std::to_string(vx.node);
+    const auto eligible = spec.eligible_of(vx);
     if (!eligible.empty()) {
       // Ranges (the common case: "any compute node") are written as
       // {lo..hi} straight from their two integers; an explicit list that
@@ -82,9 +80,9 @@ void format_vertex(const core::TaskSpec& spec, const core::SpecView& v,
     }
     return;
   }
-  out += v.kind() == core::SpecKind::Serial ? "S(" : "P(";
+  out += vx.kind == core::SpecKind::Serial ? "S(" : "P(";
   bool first = true;
-  for (const core::SpecView child : v.children()) {
+  for (const std::uint32_t child : spec.children_of(vx)) {
     if (!first) out += ' ';
     first = false;
     format_vertex(spec, child, out);
@@ -164,15 +162,11 @@ class SpecParser {
   }
 
   core::NodeId take_node(std::string_view delims) {
-    const std::string t(take_until(delims));
-    try {
-      std::size_t used = 0;
-      const long v = std::stol(t, &used);
-      if (used != t.size() || v < 0) throw std::invalid_argument(t);
-      return static_cast<core::NodeId>(v);
-    } catch (const std::exception&) {
-      fail("bad node id '" + t + "'");
-    }
+    const std::string_view t = take_until(delims);
+    const auto v = util::parse_long(t);
+    if (!v || *v < 0 || *v > std::numeric_limits<core::NodeId>::max())
+      fail("bad node id '" + std::string(t) + "'");
+    return static_cast<core::NodeId>(*v);
   }
 
   void parse_leaf() {
@@ -224,8 +218,9 @@ class SpecParser {
 }  // namespace
 
 std::string format_spec(const core::TaskSpec& spec) {
+  if (spec.empty()) throw std::logic_error("format_spec: empty spec");
   std::string out;
-  format_vertex(spec, spec.root(), out);
+  format_vertex(spec, 0, out);
   return out;
 }
 
@@ -334,7 +329,7 @@ void TraceWriter::local(sim::Time arrival, core::NodeId node, double exec,
 void TraceWriter::global(sim::Time arrival, const core::TaskSpec& spec,
                          sim::Time deadline) {
   scratch_.clear();
-  format_vertex(spec, spec.root(), scratch_);
+  format_vertex(spec, 0, scratch_);
   out_ << "G," << hex_double(arrival) << ',' << hex_double(deadline) << ','
        << scratch_ << '\n';
   ++records_;

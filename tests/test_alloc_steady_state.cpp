@@ -35,10 +35,12 @@
 #include "dsrt/system/process_manager.hpp"
 #include "dsrt/workload/generator.hpp"
 #include "support/alloc_counter.hpp"
+#include "support/spec.hpp"
 
 namespace {
 
 using namespace dsrt;
+using dsrt::testing::spec_of;
 
 /// The fig2 system, wired by hand so the simulator clock can be advanced
 /// in phases (SimulationRun::run is one-shot to the horizon).
@@ -92,13 +94,9 @@ struct Fig2System {
     // moves every such growth event into the warm-up phase, so the
     // measured cycle exercises pure recycling. (These submissions draw
     // nothing from the workload RNG streams; they only shift the clock.)
-    for (int i = 0; i < 64; ++i) {
-      const auto spec = core::TaskSpec::serial(
-          {core::TaskSpec::simple(0, 0.001), core::TaskSpec::simple(1, 0.001),
-           core::TaskSpec::simple(2, 0.001),
-           core::TaskSpec::simple(3, 0.001)});
-      pm->submit_global(spec, /*deadline=*/1e9);
-    }
+    const auto flood = spec_of(
+        "S(0.001/0.001@0 0.001/0.001@1 0.001/0.001@2 0.001/0.001@3)");
+    for (int i = 0; i < 64; ++i) pm->submit_global(flood, /*deadline=*/1e9);
     sim.run(sim.now() + 10.0);  // drain the flood
     for (auto& source : locals) source->start();
     globals->start();
@@ -247,13 +245,9 @@ struct ScaleSystem {
     // Pool prewarm, scaled: at k=1024 the global arrival rate keeps a few
     // hundred instances live; flooding well past that peak moves every
     // slot-map growth into warm-up (see Fig2System for the rationale).
-    for (int i = 0; i < 768; ++i) {
-      const auto spec = core::TaskSpec::serial(
-          {core::TaskSpec::simple(0, 0.001), core::TaskSpec::simple(1, 0.001),
-           core::TaskSpec::simple(2, 0.001),
-           core::TaskSpec::simple(3, 0.001)});
-      pm->submit_global(spec, /*deadline=*/1e9);
-    }
+    const auto flood = spec_of(
+        "S(0.001/0.001@0 0.001/0.001@1 0.001/0.001@2 0.001/0.001@3)");
+    for (int i = 0; i < 768; ++i) pm->submit_global(flood, /*deadline=*/1e9);
     sim.run(sim.now() + 10.0);  // drain the flood
     for (auto& source : locals) source->start();
     globals->start();

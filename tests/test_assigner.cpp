@@ -8,10 +8,12 @@
 #include "dsrt/core/assigner.hpp"
 #include "dsrt/core/parallel_strategies.hpp"
 #include "dsrt/core/serial_strategies.hpp"
+#include "support/spec.hpp"
 
 namespace {
 
 using namespace dsrt::core;
+using dsrt::testing::spec_of;
 
 std::vector<LeafSubmission> start(TaskInstance& inst, double now = 0) {
   std::vector<LeafSubmission> out;
@@ -20,9 +22,7 @@ std::vector<LeafSubmission> start(TaskInstance& inst, double now = 0) {
 }
 
 TEST(TaskInstance, SerialChainSubmitsOneAtATime) {
-  const auto spec = TaskSpec::serial({TaskSpec::simple(0, 2.0),
-                                      TaskSpec::simple(1, 1.0),
-                                      TaskSpec::simple(2, 4.0)});
+  const auto spec = spec_of("S(2/2@0 1/1@1 4/4@2)");
   TaskInstance inst(1, spec, 0.0, 20.0, make_eqf(), make_parallel_ud());
   auto subs = start(inst);
   ASSERT_EQ(subs.size(), 1u);
@@ -51,9 +51,7 @@ TEST(TaskInstance, SerialDeadlinesRecomputedAtSubmission) {
   // EQS with pex (2,1,4,1), dl(T)=16: stage 1 gets dl 4. If stage 1
   // finishes EARLY at t=2, stage 2's deadline uses the inherited slack:
   // 2 + 1 + (16-2-6)/3 = 5.667 (not the on-time 7.0).
-  const auto spec = TaskSpec::serial(
-      {TaskSpec::simple(0, 2.0), TaskSpec::simple(1, 1.0),
-       TaskSpec::simple(2, 4.0), TaskSpec::simple(3, 1.0)});
+  const auto spec = spec_of("S(2/2@0 1/1@1 4/4@2 1/1@3)");
   TaskInstance inst(1, spec, 0.0, 16.0, make_eqs(), make_parallel_ud());
   auto subs = start(inst);
   EXPECT_DOUBLE_EQ(subs[0].deadline, 4.0);
@@ -67,9 +65,7 @@ TEST(TaskInstance, SerialDeadlinesRecomputedAtSubmission) {
 TEST(TaskInstance, LateStageRobsFollowers) {
   // "The poor get poorer": stage 1 finishing LATE (t=6) leaves stage 2
   // with slack (16-6-6)/3 = 4/3 instead of 2.
-  const auto spec = TaskSpec::serial(
-      {TaskSpec::simple(0, 2.0), TaskSpec::simple(1, 1.0),
-       TaskSpec::simple(2, 4.0), TaskSpec::simple(3, 1.0)});
+  const auto spec = spec_of("S(2/2@0 1/1@1 4/4@2 1/1@3)");
   TaskInstance inst(1, spec, 0.0, 16.0, make_eqs(), make_parallel_ud());
   auto subs = start(inst);
   std::vector<LeafSubmission> next;
@@ -78,9 +74,7 @@ TEST(TaskInstance, LateStageRobsFollowers) {
 }
 
 TEST(TaskInstance, ParallelFanOutSubmitsAllAtOnce) {
-  const auto spec = TaskSpec::parallel({TaskSpec::simple(0, 1.0),
-                                        TaskSpec::simple(1, 2.0),
-                                        TaskSpec::simple(2, 3.0)});
+  const auto spec = spec_of("P(1/1@0 2/2@1 3/3@2)");
   TaskInstance inst(1, spec, 5.0, 15.0, make_ud(), make_div_x(1.0));
   auto subs = start(inst, 5.0);
   ASSERT_EQ(subs.size(), 3u);
@@ -91,9 +85,7 @@ TEST(TaskInstance, ParallelFanOutSubmitsAllAtOnce) {
 }
 
 TEST(TaskInstance, ParallelJoinWaitsForAll) {
-  const auto spec = TaskSpec::parallel({TaskSpec::simple(0, 1.0),
-                                        TaskSpec::simple(1, 2.0),
-                                        TaskSpec::simple(2, 3.0)});
+  const auto spec = spec_of("P(1/1@0 2/2@1 3/3@2)");
   TaskInstance inst(1, spec, 0.0, 10.0, make_ud(), make_parallel_ud());
   auto subs = start(inst);
   std::vector<LeafSubmission> out;
@@ -105,8 +97,7 @@ TEST(TaskInstance, ParallelJoinWaitsForAll) {
 }
 
 TEST(TaskInstance, GlobalsFirstElevatesAllLeaves) {
-  const auto spec = TaskSpec::parallel({TaskSpec::simple(0, 1.0),
-                                        TaskSpec::simple(1, 1.0)});
+  const auto spec = spec_of("P(1/1@0 1/1@1)");
   TaskInstance inst(1, spec, 0.0, 10.0, make_ud(), make_gf());
   for (const auto& sub : start(inst))
     EXPECT_EQ(sub.priority, PriorityClass::Elevated);
@@ -115,11 +106,7 @@ TEST(TaskInstance, GlobalsFirstElevatesAllLeaves) {
 TEST(TaskInstance, NestedRecursionAppliesSspThenPsp) {
   // T = [A [B || C] D], dl(T) = 20, EQS + DIV-1, all pex = 2 (parallel
   // group pex = max = 2, so group total pex = 6).
-  const auto spec = TaskSpec::serial({
-      TaskSpec::simple(0, 2.0),
-      TaskSpec::parallel({TaskSpec::simple(1, 2.0), TaskSpec::simple(2, 2.0)}),
-      TaskSpec::simple(3, 2.0),
-  });
+  const auto spec = spec_of("S(2/2@0 P(2/2@1 2/2@2) 2/2@3)");
   TaskInstance inst(1, spec, 0.0, 20.0, make_eqs(), make_div_x(1.0));
   // Stage A: slack = 20 - 0 - 6 = 14 over 3 stages -> dl(A) = 0+2+14/3.
   auto subs = start(inst);
@@ -156,7 +143,7 @@ TEST(TaskInstance, NestedRecursionAppliesSspThenPsp) {
 }
 
 TEST(TaskInstance, SingleLeafRoot) {
-  const auto spec = TaskSpec::simple(2, 3.0);
+  const auto spec = spec_of("3/3@2");
   TaskInstance inst(9, spec, 1.0, 8.0, make_eqf(), make_parallel_ud());
   auto subs = start(inst, 1.0);
   ASSERT_EQ(subs.size(), 1u);
@@ -166,8 +153,7 @@ TEST(TaskInstance, SingleLeafRoot) {
 }
 
 TEST(TaskInstance, AbortStopsFurtherSubmissions) {
-  const auto spec = TaskSpec::serial({TaskSpec::simple(0, 1.0),
-                                      TaskSpec::simple(1, 1.0)});
+  const auto spec = spec_of("S(1/1@0 1/1@1)");
   TaskInstance inst(1, spec, 0.0, 10.0, make_ud(), make_parallel_ud());
   auto subs = start(inst);
   inst.abort();
@@ -180,7 +166,7 @@ TEST(TaskInstance, AbortStopsFurtherSubmissions) {
 }
 
 TEST(TaskInstance, AbortAfterCompletionIsNoOp) {
-  const auto spec = TaskSpec::simple(0, 1.0);
+  const auto spec = spec_of("1/1@0");
   TaskInstance inst(1, spec, 0.0, 5.0, make_ud(), make_parallel_ud());
   auto subs = start(inst);
   std::vector<LeafSubmission> out;
@@ -190,7 +176,7 @@ TEST(TaskInstance, AbortAfterCompletionIsNoOp) {
 }
 
 TEST(TaskInstance, DoubleStartThrows) {
-  const auto spec = TaskSpec::simple(0, 1.0);
+  const auto spec = spec_of("1/1@0");
   TaskInstance inst(1, spec, 0.0, 5.0, make_ud(), make_parallel_ud());
   std::vector<LeafSubmission> out;
   inst.start(0.0, out);
@@ -198,8 +184,7 @@ TEST(TaskInstance, DoubleStartThrows) {
 }
 
 TEST(TaskInstance, RejectsBadCompletions) {
-  const auto spec = TaskSpec::serial({TaskSpec::simple(0, 1.0),
-                                      TaskSpec::simple(1, 1.0)});
+  const auto spec = spec_of("S(1/1@0 1/1@1)");
   TaskInstance inst(1, spec, 0.0, 10.0, make_ud(), make_parallel_ud());
   std::vector<LeafSubmission> out;
   inst.start(0.0, out);
@@ -209,7 +194,7 @@ TEST(TaskInstance, RejectsBadCompletions) {
 }
 
 TEST(TaskInstance, RejectsNullStrategies) {
-  const auto spec = TaskSpec::simple(0, 1.0);
+  const auto spec = spec_of("1/1@0");
   EXPECT_THROW(TaskInstance(1, spec, 0, 1, nullptr, make_parallel_ud()),
                std::invalid_argument);
   EXPECT_THROW(TaskInstance(1, spec, 0, 1, make_ud(), nullptr),
@@ -217,8 +202,7 @@ TEST(TaskInstance, RejectsNullStrategies) {
 }
 
 TEST(TaskInstance, VertexDeadlineUnsetBeforeActivation) {
-  const auto spec = TaskSpec::serial({TaskSpec::simple(0, 1.0),
-                                      TaskSpec::simple(1, 1.0)});
+  const auto spec = spec_of("S(1/1@0 1/1@1)");
   TaskInstance inst(1, spec, 0.0, 10.0, make_eqs(), make_parallel_ud());
   std::vector<LeafSubmission> out;
   inst.start(0.0, out);
@@ -232,15 +216,7 @@ TEST(TaskInstance, VertexDeadlineUnsetBeforeActivation) {
 
 TEST(TaskInstance, DeepTreeCompletesEndToEnd) {
   // [[A || B] [C [D || E]] F] exercises multi-level recursion.
-  const auto spec = TaskSpec::serial({
-      TaskSpec::parallel({TaskSpec::simple(0, 1.0), TaskSpec::simple(1, 1.0)}),
-      TaskSpec::serial({
-          TaskSpec::simple(2, 1.0),
-          TaskSpec::parallel(
-              {TaskSpec::simple(3, 1.0), TaskSpec::simple(4, 1.0)}),
-      }),
-      TaskSpec::simple(5, 1.0),
-  });
+  const auto spec = spec_of("S(P(1/1@0 1/1@1) S(1/1@2 P(1/1@3 1/1@4)) 1/1@5)");
   TaskInstance inst(1, spec, 0.0, 30.0, make_eqf(), make_div_x(1.0));
   std::vector<LeafSubmission> pending = start(inst);
   double now = 0;

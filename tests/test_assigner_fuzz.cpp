@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dsrt/core/assigner.hpp"
@@ -16,11 +18,13 @@
 #include "dsrt/core/parallel_strategies.hpp"
 #include "dsrt/core/serial_strategies.hpp"
 #include "dsrt/sim/rng.hpp"
+#include "support/spec.hpp"
 
 namespace {
 
 using namespace dsrt::core;
 using dsrt::sim::Rng;
+using dsrt::testing::spec_of;
 
 /// Test double: a frozen per-node load state (no accounts, no decay).
 class FixedLoadModel final : public LoadModel {
@@ -48,19 +52,22 @@ FixedLoadModel random_load_model(Rng& rng, std::size_t nodes) {
   return FixedLoadModel(std::move(loads));
 }
 
-/// Random serial-parallel tree with at most `max_depth` levels.
-TaskSpec random_tree(Rng& rng, int max_depth) {
+/// Random serial-parallel tree with at most `max_depth` levels, written in
+/// the trace shape grammar (hexfloat times round-trip exactly). A group's
+/// serial/parallel coin is drawn after its children.
+std::string random_tree(Rng& rng, int max_depth) {
   if (max_depth <= 1 || rng.uniform01() < 0.4) {
-    return TaskSpec::simple(static_cast<NodeId>(rng.below(8)),
-                            rng.exponential(1.0));
+    const double exec = rng.exponential(1.0);
+    const auto node = static_cast<unsigned>(rng.below(8));
+    char leaf[80];
+    std::snprintf(leaf, sizeof leaf, "%a/%a@%u", exec, exec, node);
+    return leaf;
   }
   const std::size_t width = 2 + rng.below(3);
-  std::vector<TaskSpec> children;
-  children.reserve(width);
+  std::string children;
   for (std::size_t i = 0; i < width; ++i)
-    children.push_back(random_tree(rng, max_depth - 1));
-  return rng.uniform01() < 0.5 ? TaskSpec::serial(std::move(children))
-                               : TaskSpec::parallel(std::move(children));
+    children += ' ' + random_tree(rng, max_depth - 1);
+  return (rng.uniform01() < 0.5 ? "S(" : "P(") + children.substr(1) + ')';
 }
 
 struct StrategyPair {
@@ -82,7 +89,7 @@ StrategyPair random_strategies(Rng& rng) {
 TEST(TaskInstanceFuzz, RandomTreesCompleteUnderRandomInterleavings) {
   Rng rng(20250612);
   for (int trial = 0; trial < 500; ++trial) {
-    const TaskSpec spec = random_tree(rng, 4);
+    const TaskSpec spec = spec_of(random_tree(rng, 4));
     const auto [ssp, psp] = random_strategies(rng);
     const double arrival = rng.uniform(0, 10);
     const double deadline =
@@ -132,7 +139,7 @@ TEST(TaskInstanceFuzz, RandomTreesCompleteUnderRandomInterleavings) {
 TEST(TaskInstanceFuzz, AbortMidTreeAlwaysDrains) {
   Rng rng(777);
   for (int trial = 0; trial < 300; ++trial) {
-    const TaskSpec spec = random_tree(rng, 4);
+    const TaskSpec spec = spec_of(random_tree(rng, 4));
     const auto [ssp, psp] = random_strategies(rng);
     TaskInstance inst(1, spec, 0.0, spec.critical_path_exec() + 5.0, ssp,
                       psp);
@@ -170,7 +177,7 @@ TEST(TaskInstanceFuzz, GenerousDeadlineOnScheduleNeverViolated) {
   // reachable: completion time <= dl(T).
   Rng rng(31337);
   for (int trial = 0; trial < 300; ++trial) {
-    const TaskSpec spec = random_tree(rng, 3);
+    const TaskSpec spec = spec_of(random_tree(rng, 3));
     for (const char* name : {"UD", "ED", "EQS", "EQF"}) {
       TaskInstance inst(1, spec, 0.0, spec.critical_path_exec() + 1.0,
                         serial_strategy_by_name(name), make_parallel_ud());
@@ -213,7 +220,7 @@ TEST(TaskInstanceFuzz, LoadAwareDeadlinesFiniteAndGroupDeadlineBounded) {
   static const std::vector<const char*> parallel_names = {"UD", "GF", "DIVA",
                                                           "DIVA3"};
   for (int trial = 0; trial < 400; ++trial) {
-    const TaskSpec spec = random_tree(rng, 4);
+    const TaskSpec spec = spec_of(random_tree(rng, 4));
     const FixedLoadModel model = random_load_model(rng, 8);
     const auto ssp = serial_strategy_by_name(
         serial_names[rng.below(serial_names.size())]);

@@ -88,6 +88,29 @@ TEST(Cli, NetworkAndPeriodic) {
   EXPECT_TRUE(cfg.periodic_globals);
 }
 
+TEST(Cli, NumericFlagsMustUseTheWholeValue) {
+  // Trailing text used to be dropped: --nodes=4.7 ran with k=4 and --m=2x
+  // with m=2.
+  EXPECT_THROW(parse({"--nodes=4.7"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--m=2x"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--load=0.5x"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--horizon=1e5s"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--nodes="}), std::invalid_argument);
+  EXPECT_EQ(parse({"--nodes=12"}).nodes, 12u);
+  EXPECT_DOUBLE_EQ(parse({"--horizon=1e5"}).horizon, 1e5);
+}
+
+TEST(Cli, NegativeCountsAreRejected) {
+  // --nodes=-1 used to wrap to k = 2^64 - 1.
+  for (const char* flag : {"--nodes=-1", "--m=-1", "--sp_stages=-1",
+                           "--sp_width=-1", "--links=-1"})
+    EXPECT_THROW(parse({flag}), std::invalid_argument) << flag;
+  for (const char* flag : {"--sp_stages=-2", "--sp_width=-3"})
+    EXPECT_THROW(parse({"--shape=serial-parallel", flag}),
+                 std::invalid_argument)
+        << flag;
+}
+
 TEST(Cli, InvalidCombinationsRejectedByValidate) {
   EXPECT_THROW(parse({"--load=1.5"}), std::invalid_argument);
   EXPECT_THROW(parse({"--shape=parallel", "--m=9"}), std::invalid_argument);

@@ -17,19 +17,24 @@ TEST(CommShapes, InterleavesTransmissionStages) {
   const auto exec = sim::exponential(1.0);
   const auto comm = sim::constant(0.25);
   const auto perfect = workload::make_perfect_prediction();
-  const auto task = workload::make_serial_task_with_comm(
-      /*subtasks=*/4, /*nodes=*/6, /*link_nodes=*/2, *exec, *comm, *perfect,
-      rng);
-  ASSERT_EQ(task.children().size(), 7u);  // T C T C T C T
-  for (std::size_t i = 0; i < task.children().size(); ++i) {
-    const auto& child = task.children()[i];
-    ASSERT_TRUE(child.is_simple());
+  core::TaskSpec task;
+  core::TaskSpecBuilder b;
+  b.reset(task);
+  workload::fill_serial_task_with_comm(
+      b, /*subtasks=*/4, /*nodes=*/6, /*link_nodes=*/2, *exec, *comm,
+      *perfect, rng, /*defer_placement=*/false);
+  b.finish();
+  const auto stages = task.children_of(task.vertex(0));
+  ASSERT_EQ(stages.size(), 7u);  // T C T C T C T
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const core::SpecVertex& child = task.vertex(stages[i]);
+    ASSERT_EQ(child.kind, core::SpecKind::Simple);
     if (i % 2 == 1) {  // transmission stage
-      EXPECT_GE(child.node(), 6u);
-      EXPECT_LT(child.node(), 8u);
-      EXPECT_DOUBLE_EQ(child.exec(), 0.25);
+      EXPECT_GE(child.node, 6u);
+      EXPECT_LT(child.node, 8u);
+      EXPECT_DOUBLE_EQ(child.exec, 0.25);
     } else {
-      EXPECT_LT(child.node(), 6u);
+      EXPECT_LT(child.node, 6u);
     }
   }
 }
@@ -39,9 +44,13 @@ TEST(CommShapes, SingleStageHasNoTransmission) {
   const auto exec = sim::exponential(1.0);
   const auto comm = sim::constant(0.25);
   const auto perfect = workload::make_perfect_prediction();
-  const auto task = workload::make_serial_task_with_comm(1, 6, 2, *exec,
-                                                         *comm, *perfect, rng);
-  EXPECT_EQ(task.children().size(), 1u);
+  core::TaskSpec task;
+  core::TaskSpecBuilder b;
+  b.reset(task);
+  workload::fill_serial_task_with_comm(b, 1, 6, 2, *exec, *comm, *perfect,
+                                       rng, false);
+  b.finish();
+  EXPECT_EQ(task.vertex(0).child_count, 1u);
 }
 
 TEST(CommShapes, RejectsBadArguments) {
@@ -49,11 +58,14 @@ TEST(CommShapes, RejectsBadArguments) {
   const auto exec = sim::exponential(1.0);
   const auto comm = sim::constant(0.25);
   const auto perfect = workload::make_perfect_prediction();
-  EXPECT_THROW(workload::make_serial_task_with_comm(0, 6, 2, *exec, *comm,
-                                                    *perfect, rng),
+  core::TaskSpec task;
+  core::TaskSpecBuilder b;
+  b.reset(task);
+  EXPECT_THROW(workload::fill_serial_task_with_comm(b, 0, 6, 2, *exec, *comm,
+                                                    *perfect, rng, false),
                std::invalid_argument);
-  EXPECT_THROW(workload::make_serial_task_with_comm(2, 6, 0, *exec, *comm,
-                                                    *perfect, rng),
+  EXPECT_THROW(workload::fill_serial_task_with_comm(b, 2, 6, 0, *exec, *comm,
+                                                    *perfect, rng, false),
                std::invalid_argument);
 }
 

@@ -1,4 +1,4 @@
-// Engine layer: thread pool, seed derivation, sweep grids, the parallel
+// Engine layer: thread pool, sweep grids, the parallel
 // runner's bit-for-bit equivalence with serial replication, and the
 // structured emitters.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "dsrt/engine/emit.hpp"
 #include "dsrt/engine/runner.hpp"
-#include "dsrt/engine/seed_sequence.hpp"
 #include "dsrt/engine/sweep.hpp"
 #include "dsrt/engine/thread_pool.hpp"
 #include "dsrt/system/baseline.hpp"
@@ -58,24 +57,6 @@ TEST(ThreadPool, ParallelForPropagatesException) {
 TEST(ThreadPool, ZeroUnitsReturnsImmediately) {
   engine::ThreadPool pool(2);
   engine::parallel_for_index(pool, 0, [](std::size_t) { FAIL(); });
-}
-
-// --- SeedSequence ---------------------------------------------------------
-
-TEST(SeedSequence, IndexZeroKeepsBaseSeed) {
-  engine::SeedSequence seeds(20250612);
-  EXPECT_EQ(seeds.seed_for(0), 20250612u);
-}
-
-TEST(SeedSequence, DerivedSeedsAreDeterministicAndDistinct) {
-  engine::SeedSequence seeds(42);
-  std::vector<std::uint64_t> first;
-  for (std::uint64_t i = 0; i < 64; ++i) first.push_back(seeds.seed_for(i));
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(first[i], engine::SeedSequence::mix(42, i));
-    for (std::uint64_t j = i + 1; j < 64; ++j)
-      EXPECT_NE(first[i], first[j]) << i << " vs " << j;
-  }
 }
 
 // --- SweepGrid ------------------------------------------------------------
@@ -225,22 +206,6 @@ TEST(Runner, SweepMatchesPerPointSerialRuns) {
     const auto serial = system::run_replications(pr.point.config, 2);
     expect_identical_runs(serial.runs, pr.result.runs);
   }
-}
-
-TEST(Runner, ReseedPointsDerivesIndependentSeedsPointZeroKeepsBase) {
-  engine::SweepGrid grid;
-  grid.axis(engine::SweepAxis::by_field("load", {"0.2", "0.3", "0.4"}));
-  const system::Config base = tiny_config();
-
-  engine::RunnerOptions options;
-  options.jobs = 2;
-  options.reseed_points = true;
-  const auto sweep = engine::Runner(options).run_sweep(grid, base, 1);
-  ASSERT_EQ(sweep.points.size(), 3u);
-  EXPECT_EQ(sweep.points[0].point.config.seed, base.seed);
-  EXPECT_NE(sweep.points[1].point.config.seed, base.seed);
-  EXPECT_NE(sweep.points[1].point.config.seed,
-            sweep.points[2].point.config.seed);
 }
 
 TEST(Runner, ZeroReplicationsThrows) {

@@ -132,8 +132,8 @@ TEST(GlobalTaskSource, ParallelShapeDeadlineUsesLongestSubtask) {
       sim, p, 0.5, Rng(27), 2000.0,
       [&](const dsrt::core::TaskSpec& spec, double deadline) {
         double longest = 0;
-        for (const auto& c : spec.children())
-          longest = std::max(longest, c.exec());
+        for (const auto c : spec.children_of(spec.vertex(0)))
+          longest = std::max(longest, spec.vertex(c).exec);
         // Equation (2): dl = max_i ex(Ti) + slack + ar.
         const double slack = deadline - sim.now() - longest;
         EXPECT_GE(slack, 1.0);
@@ -207,8 +207,8 @@ TEST(GlobalTaskSource, ParallelSubtasksHaveMoreSlackThanLocals) {
   GlobalTaskSource source(
       sim, p, 1.0, Rng(34), 20000.0,
       [&](const dsrt::core::TaskSpec& spec, double deadline) {
-        for (const auto& member : spec.children())
-          member_slack.add(deadline - sim.now() - member.exec());
+        for (const auto m : spec.children_of(spec.vertex(0)))
+          member_slack.add(deadline - sim.now() - spec.vertex(m).exec);
       });
   source.start();
   sim.run();

@@ -27,12 +27,14 @@
 #include "dsrt/system/cli.hpp"
 #include "dsrt/system/simulation.hpp"
 #include "dsrt/workload/shapes.hpp"
+#include "support/spec.hpp"
 
 namespace {
 
 using namespace dsrt;
 using namespace dsrt::core;
 using dsrt::sim::Rng;
+using dsrt::testing::spec_of;
 
 /// Test double: a frozen per-node load state (no accounts, no decay).
 class FixedLoadModel final : public LoadModel {
@@ -268,15 +270,18 @@ EligibleSet random_eligible(Rng& rng, std::vector<NodeId>& list) {
   const auto first = static_cast<NodeId>(rng.below(50));
   const auto count = static_cast<std::uint32_t>(1 + rng.below(40));
   if (rng.uniform01() < 0.5) return EligibleSet::range(first, count);
-  list = workload::sample_distinct_nodes(80, count, rng);
+  workload::ShapeScratch scratch;
+  workload::sample_distinct_nodes_into(80, count, rng, scratch);
+  list = std::move(scratch.sites);
   for (NodeId& node : list) node += first;
   return EligibleSet(list);
 }
 
 /// A random sorted exclusion set: up to 8 ids, inside or outside the set.
 std::vector<NodeId> random_exclusions(Rng& rng) {
-  std::vector<NodeId> excluded =
-      workload::sample_distinct_nodes(130, rng.below(9), rng);
+  workload::ShapeScratch scratch;
+  workload::sample_distinct_nodes_into(130, rng.below(9), rng, scratch);
+  std::vector<NodeId> excluded = std::move(scratch.sites);
   std::sort(excluded.begin(), excluded.end());
   return excluded;
 }
@@ -351,23 +356,28 @@ TEST(CandidateView, PoliciesPickTheSameAsOverTheMaterializedSpan) {
 
 // --- TaskSpec eligible sets -----------------------------------------------
 
-TEST(TaskSpecPlacement, SimpleAmongValidatesAndPrints) {
-  const TaskSpec leaf = TaskSpec::simple_among(2, {0, 1, 2, 3}, 1.5, 1.25);
-  EXPECT_TRUE(leaf.placeable());
-  EXPECT_EQ(leaf.node(), 2u);
-  EXPECT_EQ(leaf.eligible().size(), 4u);
-  EXPECT_DOUBLE_EQ(leaf.exec(), 1.5);
-  EXPECT_DOUBLE_EQ(leaf.pex(), 1.25);
+TEST(TaskSpecPlacement, LeafAmongValidatesAndPrints) {
+  const TaskSpec leaf = spec_of("1.5/1.25@2{0|1|2|3}");
+  const SpecVertex& vx = leaf.vertex(0);
+  EXPECT_EQ(vx.node, 2u);
+  EXPECT_EQ(leaf.eligible_of(vx).size(), 4u);
+  EXPECT_DOUBLE_EQ(vx.exec, 1.5);
+  EXPECT_DOUBLE_EQ(vx.pex, 1.25);
   EXPECT_EQ(leaf.to_string(), "T@2*");
   // Bound leaves are the degenerate case.
-  const TaskSpec bound = TaskSpec::simple(2, 1.5);
-  EXPECT_FALSE(bound.placeable());
-  EXPECT_TRUE(bound.eligible().empty());
+  const TaskSpec bound = spec_of("1.5/1.5@2");
+  EXPECT_TRUE(bound.eligible_of(bound.vertex(0)).empty());
   EXPECT_EQ(bound.to_string(), "T@2");
-  EXPECT_THROW(TaskSpec::simple_among(2, {}, 1.0, 1.0),
+  TaskSpec spec;
+  TaskSpecBuilder builder;
+  builder.reset(spec);
+  EXPECT_THROW(builder.leaf_among(2, std::vector<NodeId>{}, 1.0, 1.0),
                std::invalid_argument);
-  EXPECT_THROW(TaskSpec::simple_among(9, {0, 1}, 1.0, 1.0),
+  EXPECT_THROW(builder.leaf_among(2, 0, 0, 1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(builder.leaf_among(9, std::vector<NodeId>{0, 1}, 1.0, 1.0),
                std::invalid_argument);
+  EXPECT_THROW(builder.leaf_among(9, 0, 2, 1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(spec_of("1/1@9{0|1}"), std::invalid_argument);
 }
 
 // --- Deferred generation: seed-stream equivalence -------------------------
@@ -376,37 +386,42 @@ std::vector<NodeId> to_vec(EligibleSet s) {
   return std::vector<NodeId>(s.begin(), s.end());
 }
 
-void expect_same_structure(const SpecView bound, const SpecView deferred,
-                           bool expect_placeable) {
-  ASSERT_EQ(bound.kind(), deferred.kind());
-  if (bound.is_simple()) {
+/// Same tree, vertex for vertex; every deferred leaf is placeable.
+void expect_same_structure(const TaskSpec& bound, const TaskSpec& deferred) {
+  ASSERT_EQ(bound.size(), deferred.size());
+  for (std::size_t v = 0; v < bound.size(); ++v) {
+    const SpecVertex& b = bound.vertex(v);
+    const SpecVertex& d = deferred.vertex(v);
+    ASSERT_EQ(b.kind, d.kind) << v;
+    ASSERT_EQ(b.parent, d.parent) << v;
+    if (b.kind != SpecKind::Simple) continue;
     // The deferred arm consumes the *same* RNG draws: identical hint node,
     // execution time, and prediction, bit for bit.
-    EXPECT_EQ(bound.node(), deferred.node());
-    EXPECT_EQ(bound.exec(), deferred.exec());
-    EXPECT_EQ(bound.pex(), deferred.pex());
-    EXPECT_EQ(deferred.placeable(), expect_placeable);
-    return;
+    EXPECT_EQ(b.node, d.node) << v;
+    EXPECT_EQ(b.exec, d.exec) << v;
+    EXPECT_EQ(b.pex, d.pex) << v;
+    EXPECT_FALSE(deferred.eligible_of(d).empty()) << v;
   }
-  ASSERT_EQ(bound.children().size(), deferred.children().size());
-  for (std::size_t i = 0; i < bound.children().size(); ++i)
-    expect_same_structure(bound.children()[i], deferred.children()[i],
-                          expect_placeable);
 }
 
 TEST(DeferredShapes, SerialDeferMatchesSeedDrawBitForBit) {
   const auto dist = sim::exponential(1.0);
   const auto pex = workload::make_perfect_prediction();
+  TaskSpecBuilder builder;
+  TaskSpec bound, deferred;
   for (std::uint64_t seed : {1ull, 42ull, 20260730ull}) {
     Rng bound_rng(seed), deferred_rng(seed);
-    const TaskSpec bound =
-        workload::make_serial_task(5, 6, *dist, *pex, bound_rng);
-    const TaskSpec deferred =
-        workload::make_serial_task(5, 6, *dist, *pex, deferred_rng, true);
-    expect_same_structure(bound.root(), deferred.root(), true);
+    builder.reset(bound);
+    workload::fill_serial_task(builder, 5, 6, *dist, *pex, bound_rng, false);
+    builder.finish();
+    builder.reset(deferred);
+    workload::fill_serial_task(builder, 5, 6, *dist, *pex, deferred_rng,
+                               true);
+    builder.finish();
+    expect_same_structure(bound, deferred);
     // Serial stages may run anywhere: eligible = all compute nodes.
-    for (const SpecView leaf : deferred.children())
-      EXPECT_EQ(to_vec(leaf.eligible()),
+    for (const auto leaf : deferred.children_of(deferred.vertex(0)))
+      EXPECT_EQ(to_vec(deferred.eligible_of(deferred.vertex(leaf))),
                 (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
     // The generators left both streams in the same state.
     EXPECT_EQ(bound_rng(), deferred_rng());
@@ -417,26 +432,40 @@ TEST(DeferredShapes, ParallelAndCommShapesCarryTheRightEligibleSets) {
   const auto dist = sim::exponential(1.0);
   const auto comm = sim::exponential(0.25);
   const auto pex = workload::make_perfect_prediction();
+  TaskSpecBuilder builder;
+  workload::ShapeScratch scratch;
+  TaskSpec bound, deferred;
   Rng a(7), b(7);
-  const TaskSpec bound = workload::make_parallel_task(4, 6, *dist, *pex, a);
-  const TaskSpec deferred =
-      workload::make_parallel_task(4, 6, *dist, *pex, b, true);
-  expect_same_structure(bound.root(), deferred.root(), true);
+  builder.reset(bound);
+  workload::fill_parallel_task(builder, 4, 6, *dist, *pex, a, false, scratch);
+  builder.finish();
+  builder.reset(deferred);
+  workload::fill_parallel_task(builder, 4, 6, *dist, *pex, b, true, scratch);
+  builder.finish();
+  expect_same_structure(bound, deferred);
   // Hints keep the generator's distinct draw.
   std::set<NodeId> hints;
-  for (const SpecView leaf : deferred.children()) hints.insert(leaf.node());
+  for (const auto leaf : deferred.children_of(deferred.vertex(0)))
+    hints.insert(deferred.vertex(leaf).node);
   EXPECT_EQ(hints.size(), 4u);
 
+  const workload::SerialParallelShape shape;
   Rng c(7), d(7);
-  const TaskSpec sp_bound = workload::make_serial_parallel_task_with_comm(
-      {}, 6, 2, *dist, *comm, *pex, c);
-  const TaskSpec sp_deferred = workload::make_serial_parallel_task_with_comm(
-      {}, 6, 2, *dist, *comm, *pex, d, true);
-  expect_same_structure(sp_bound.root(), sp_deferred.root(), true);
+  builder.reset(bound);
+  workload::fill_serial_parallel_task_with_comm(
+      builder, shape, 6, 2, *dist, *comm, *pex, c, false, scratch);
+  builder.finish();
+  builder.reset(deferred);
+  workload::fill_serial_parallel_task_with_comm(
+      builder, shape, 6, 2, *dist, *comm, *pex, d, true, scratch);
+  builder.finish();
+  expect_same_structure(bound, deferred);
   // Transmission stages are placeable among the link nodes only.
-  for (const SpecView stage : sp_deferred.children()) {
-    if (stage.is_simple() && stage.node() >= 6)
-      EXPECT_EQ(to_vec(stage.eligible()), (std::vector<NodeId>{6, 7}));
+  for (const auto stage : deferred.children_of(deferred.vertex(0))) {
+    const SpecVertex& vx = deferred.vertex(stage);
+    if (vx.kind == SpecKind::Simple && vx.node >= 6)
+      EXPECT_EQ(to_vec(deferred.eligible_of(vx)),
+                (std::vector<NodeId>{6, 7}));
   }
 }
 
@@ -462,10 +491,8 @@ TEST(TaskInstancePlacement, SerialStagesLandOnTheArgminBacklog) {
   // Frozen board: node 3 is the unique minimum among {0..5}.
   const FixedLoadModel model = backlogs({4.0, 2.0, 3.0, 0.5, 6.0, 1.0});
   const JsqPlacement policy(JsqPlacement::Key::QueuedPex);
-  std::vector<TaskSpec> stages;
-  for (int i = 0; i < 3; ++i)
-    stages.push_back(TaskSpec::simple_among(0, {0, 1, 2, 3, 4, 5}, 1.0, 1.0));
-  TaskSpec spec = TaskSpec::serial(std::move(stages));
+  const TaskSpec spec = spec_of(
+      "S(1/1@0{0|1|2|3|4|5} 1/1@0{0|1|2|3|4|5} 1/1@0{0|1|2|3|4|5})");
   TaskInstance inst(1, spec, 0.0, 10.0, make_ud(), make_parallel_ud(),
                     &model, &policy);
   const auto subs = drain_instance(inst);
@@ -477,10 +504,8 @@ TEST(TaskInstancePlacement, SerialStagesLandOnTheArgminBacklog) {
 TEST(TaskInstancePlacement, ParallelGroupTakesTheSmallestBacklogsDistinctly) {
   const FixedLoadModel model = backlogs({4.0, 2.0, 3.0, 0.5, 6.0, 1.0});
   const JsqPlacement policy(JsqPlacement::Key::QueuedPex);
-  std::vector<TaskSpec> group;
-  for (int i = 0; i < 3; ++i)
-    group.push_back(TaskSpec::simple_among(0, {0, 1, 2, 3, 4, 5}, 1.0, 1.0));
-  TaskSpec spec = TaskSpec::parallel(std::move(group));
+  const TaskSpec spec = spec_of(
+      "P(1/1@0{0|1|2|3|4|5} 1/1@0{0|1|2|3|4|5} 1/1@0{0|1|2|3|4|5})");
   TaskInstance inst(1, spec, 0.0, 10.0, make_ud(), make_parallel_ud(),
                     &model, &policy);
   std::vector<LeafSubmission> ready;
@@ -497,10 +522,7 @@ TEST(TaskInstancePlacement, MixedGroupExcludesBoundSiblings) {
   // sibling must settle for the runner-up.
   const FixedLoadModel model = backlogs({4.0, 2.0, 3.0, 0.5, 6.0, 1.0});
   const JsqPlacement policy(JsqPlacement::Key::QueuedPex);
-  std::vector<TaskSpec> group;
-  group.push_back(TaskSpec::simple(3, 1.0));
-  group.push_back(TaskSpec::simple_among(0, {0, 1, 2, 3, 4, 5}, 1.0, 1.0));
-  TaskSpec spec = TaskSpec::parallel(std::move(group));
+  const TaskSpec spec = spec_of("P(1/1@3 1/1@0{0|1|2|3|4|5})");
   TaskInstance inst(1, spec, 0.0, 10.0, make_ud(), make_parallel_ud(),
                     &model, &policy);
   std::vector<LeafSubmission> ready;
@@ -511,9 +533,7 @@ TEST(TaskInstancePlacement, MixedGroupExcludesBoundSiblings) {
 }
 
 TEST(TaskInstancePlacement, NoPolicyKeepsTheHint) {
-  TaskSpec spec = TaskSpec::serial(
-      {TaskSpec::simple_among(4, {0, 1, 2, 3, 4, 5}, 1.0, 1.0),
-       TaskSpec::simple_among(2, {0, 1, 2, 3, 4, 5}, 1.0, 1.0)});
+  const TaskSpec spec = spec_of("S(1/1@4{0|1|2|3|4|5} 1/1@2{0|1|2|3|4|5})");
   TaskInstance inst(1, spec, 0.0, 10.0, make_ud(), make_parallel_ud());
   const auto subs = drain_instance(inst);
   ASSERT_EQ(subs.size(), 2u);
@@ -538,8 +558,8 @@ TEST(TaskInstancePlacement, DeferredSpecsAtK4096HoldNoEligiblePool) {
   EXPECT_TRUE(wide.eligible_pool().empty());
   EXPECT_TRUE(narrow.eligible_pool().empty());
   EXPECT_EQ(wide.size(), narrow.size());
-  for (const SpecView leaf : wide.children()) {
-    const EligibleSet set = leaf.eligible();
+  for (const auto leaf : wide.children_of(wide.vertex(0))) {
+    const EligibleSet set = wide.eligible_of(wide.vertex(leaf));
     EXPECT_TRUE(set.is_range());
     EXPECT_EQ(set.size(), 4096u);
     EXPECT_EQ(set.front(), 0u);
@@ -554,62 +574,63 @@ TEST(TaskInstancePlacement, DeferredSpecsAtK4096HoldNoEligiblePool) {
   for (const auto& sub : subs) EXPECT_LT(sub.node, 4096u);
   EXPECT_EQ(pod->counters().decisions, 4u);
   // An explicit list stays a list, in the pool.
-  const TaskSpec listed = TaskSpec::simple_among(4, {7, 4, 9}, 1.0, 1.0);
-  EXPECT_FALSE(listed.eligible().is_range());
+  const TaskSpec listed = spec_of("1/1@4{7|4|9}");
+  const EligibleSet list = listed.eligible_of(listed.vertex(0));
+  EXPECT_FALSE(list.is_range());
   EXPECT_EQ(listed.eligible_pool().size(), 3u);
-  EXPECT_EQ(to_vec(listed.eligible()), (std::vector<NodeId>{7, 4, 9}));
+  EXPECT_EQ(to_vec(list), (std::vector<NodeId>{7, 4, 9}));
 }
 
 // --- Fuzz: random trees x frozen load states ------------------------------
 
-/// Random serial-parallel tree whose leaves are a mix of bound and
-/// placeable (eligible = all of [0, nodes)). Hints mirror the generator's
-/// invariant: direct leaf children of a parallel group get *distinct*
-/// hints (the shapes draw them via sample_distinct_nodes), so static
-/// placement of a deferred tree can always honor every hint.
-TaskSpec random_placeable_tree(Rng& rng, int max_depth, std::size_t nodes,
-                               NodeId hint) {
+/// Emits a random serial-parallel tree whose leaves are a mix of bound and
+/// placeable (eligible = all of [0, nodes), as an explicit list). Hints
+/// mirror the generator's invariant: direct leaf children of a parallel
+/// group get *distinct* hints (the shapes draw them via
+/// sample_distinct_nodes_into), so static placement of a deferred tree can
+/// always honor every hint.
+void emit_placeable_tree(TaskSpecBuilder& builder, Rng& rng, int max_depth,
+                         const std::vector<NodeId>& all_nodes, NodeId hint) {
+  const std::size_t nodes = all_nodes.size();
   if (max_depth <= 1 || rng.uniform01() < 0.4) {
     const double exec = rng.exponential(1.0);
     if (rng.uniform01() < 0.7) {
-      std::vector<NodeId> eligible(nodes);
-      for (std::size_t i = 0; i < nodes; ++i)
-        eligible[i] = static_cast<NodeId>(i);
-      return TaskSpec::simple_among(hint, std::move(eligible), exec, exec);
+      builder.leaf_among(hint, all_nodes, exec, exec);
+    } else {
+      builder.leaf(hint, exec, exec);
     }
-    return TaskSpec::simple(hint, exec);
+    return;
   }
   const std::size_t width = 2 + rng.below(3);
   const bool parallel = rng.uniform01() < 0.5;
   // Parallel groups hand distinct hints to their children (only used when
   // the child turns out to be a leaf); serial stages draw freely.
-  const std::vector<NodeId> hints =
-      parallel ? workload::sample_distinct_nodes(nodes, width, rng)
-               : std::vector<NodeId>{};
-  std::vector<TaskSpec> children;
-  children.reserve(width);
+  workload::ShapeScratch hints;
+  if (parallel) {
+    workload::sample_distinct_nodes_into(nodes, width, rng, hints);
+    builder.begin_parallel();
+  } else {
+    builder.begin_serial();
+  }
   for (std::size_t i = 0; i < width; ++i) {
     const NodeId child_hint =
-        parallel ? hints[i] : static_cast<NodeId>(rng.below(nodes));
-    children.push_back(
-        random_placeable_tree(rng, max_depth - 1, nodes, child_hint));
+        parallel ? hints.sites[i] : static_cast<NodeId>(rng.below(nodes));
+    emit_placeable_tree(builder, rng, max_depth - 1, all_nodes, child_hint);
   }
-  return parallel ? TaskSpec::parallel(std::move(children))
-                  : TaskSpec::serial(std::move(children));
+  builder.end();
 }
 
 TaskSpec random_placeable_tree(Rng& rng, int max_depth, std::size_t nodes) {
-  return random_placeable_tree(rng, max_depth, nodes,
-                               static_cast<NodeId>(rng.below(nodes)));
-}
-
-/// Collects the hint node of every leaf, depth-first (submission id order).
-void collect_hints(const SpecView spec, std::vector<NodeId>& out) {
-  if (spec.is_simple()) {
-    out.push_back(spec.node());
-    return;
-  }
-  for (const SpecView child : spec.children()) collect_hints(child, out);
+  std::vector<NodeId> all_nodes(nodes);
+  for (std::size_t i = 0; i < nodes; ++i)
+    all_nodes[i] = static_cast<NodeId>(i);
+  TaskSpec spec;
+  TaskSpecBuilder builder;
+  builder.reset(spec);
+  emit_placeable_tree(builder, rng, max_depth, all_nodes,
+                      static_cast<NodeId>(rng.below(nodes)));
+  builder.finish();
+  return spec;
 }
 
 TEST(PlacementFuzz, RandomTreesRespectEligibilityAndDistinctSites) {
@@ -659,22 +680,25 @@ TEST(PlacementFuzz, ParallelGroupsOfPlaceableLeavesAreDistinct) {
   // placeable leaves over random frozen boards.
   Rng rng(424242);
   const std::size_t nodes = 8;
+  const std::vector<NodeId> all_nodes = {0, 1, 2, 3, 4, 5, 6, 7};
+  TaskSpec spec;
+  TaskSpecBuilder builder;
   for (int trial = 0; trial < 300; ++trial) {
     const std::size_t width = 2 + rng.below(6);  // up to 7 <= 8 nodes
-    std::vector<TaskSpec> group;
+    builder.reset(spec);
+    builder.begin_parallel();
     for (std::size_t i = 0; i < width; ++i) {
-      std::vector<NodeId> eligible(nodes);
-      for (std::size_t n = 0; n < nodes; ++n)
-        eligible[n] = static_cast<NodeId>(n);
-      group.push_back(TaskSpec::simple_among(
-          static_cast<NodeId>(rng.below(nodes)), std::move(eligible),
-          rng.exponential(1.0), rng.exponential(1.0)));
+      const double pex = rng.exponential(1.0);
+      const double exec = rng.exponential(1.0);
+      const auto hint = static_cast<NodeId>(rng.below(nodes));
+      builder.leaf_among(hint, all_nodes, exec, pex);
     }
+    builder.end();
+    builder.finish();
     std::vector<NodeLoad> loads(nodes);
     for (auto& load : loads) load.queued_pex = rng.exponential(3.0);
     const FixedLoadModel model(loads);
     const JsqPlacement policy(JsqPlacement::Key::QueuedPex);
-    TaskSpec spec = TaskSpec::parallel(std::move(group));
     TaskInstance inst(1, spec, 0.0, 100.0, make_ud(), make_parallel_ud(),
                       &model, &policy);
     std::vector<LeafSubmission> ready;
@@ -707,8 +731,10 @@ TEST(PlacementFuzz, StaticPolicyReproducesTheSeedDrawBitForBit) {
   const StaticPlacement policy;
   for (int trial = 0; trial < 300; ++trial) {
     const TaskSpec spec = random_placeable_tree(rng, 4, 8);
+    // Leaf hints in pre-order, which is submission id order.
     std::vector<NodeId> hints;
-    collect_hints(spec.root(), hints);
+    for (const SpecVertex& vx : spec.vertices())
+      if (vx.kind == SpecKind::Simple) hints.push_back(vx.node);
 
     TaskInstance placed(1, spec, 0.0, spec.critical_path_exec() + 5.0,
                         make_eqf(), parallel_strategy_by_name("DIV2"),

@@ -11,12 +11,14 @@
 #include "dsrt/sim/simulator.hpp"
 #include "dsrt/system/metrics.hpp"
 #include "dsrt/system/process_manager.hpp"
+#include "support/spec.hpp"
 
 namespace {
 
 using namespace dsrt;
 using system::ProcessManager;
 using system::RunMetrics;
+using dsrt::testing::spec_of;
 
 struct Fixture {
   sim::Simulator sim;
@@ -58,9 +60,7 @@ TEST(ProcessManager, SerialPrecedenceAcrossNodes) {
   // busy until t=5, so stage 2 waits — stage 3 must not start before it.
   Fixture f;
   f.pm->submit_local(1, 5.0, 5.0, 100.0);  // blocks node 1
-  const auto spec = core::TaskSpec::serial({core::TaskSpec::simple(0, 1.0),
-                                            core::TaskSpec::simple(1, 1.0),
-                                            core::TaskSpec::simple(2, 1.0)});
+  const auto spec = spec_of("S(1/1@0 1/1@1 1/1@2)");
   f.pm->submit_global(spec, /*deadline=*/20.0);
   f.sim.run();
   EXPECT_EQ(f.metrics.global.missed.trials(), 1u);
@@ -72,9 +72,7 @@ TEST(ProcessManager, SerialPrecedenceAcrossNodes) {
 
 TEST(ProcessManager, ParallelJoinResponseIsMax) {
   Fixture f;
-  const auto spec = core::TaskSpec::parallel({core::TaskSpec::simple(0, 1.0),
-                                              core::TaskSpec::simple(1, 4.0),
-                                              core::TaskSpec::simple(2, 2.0)});
+  const auto spec = spec_of("P(1/1@0 4/4@1 2/2@2)");
   f.pm->submit_global(spec, 10.0);
   f.sim.run();
   EXPECT_DOUBLE_EQ(f.metrics.global.response.mean(), 4.0);
@@ -83,8 +81,7 @@ TEST(ProcessManager, ParallelJoinResponseIsMax) {
 
 TEST(ProcessManager, GlobalMissedWhenLate) {
   Fixture f;
-  const auto spec = core::TaskSpec::serial({core::TaskSpec::simple(0, 2.0),
-                                            core::TaskSpec::simple(1, 2.0)});
+  const auto spec = spec_of("S(2/2@0 2/2@1)");
   f.pm->submit_global(spec, /*deadline=*/3.0);  // needs 4
   f.sim.run();
   EXPECT_EQ(f.metrics.global.missed.hits(), 1u);
@@ -93,7 +90,7 @@ TEST(ProcessManager, GlobalMissedWhenLate) {
 
 TEST(ProcessManager, InstanceCleanupAfterCompletion) {
   Fixture f;
-  f.pm->submit_global(core::TaskSpec::simple(0, 1.0), 5.0);
+  f.pm->submit_global(spec_of("1/1@0"), 5.0);
   EXPECT_EQ(f.pm->live_instances(), 1u);
   f.sim.run();
   EXPECT_EQ(f.pm->live_instances(), 0u);
@@ -106,8 +103,7 @@ TEST(ProcessManager, AbortedSubtaskDoomsGlobalTask) {
   Fixture f(3, sched::make_abort_tardy(), core::make_eqs(),
             core::make_parallel_ud());
   f.pm->submit_local(0, 10.0, 10.0, 100.0);  // hog node 0 until t=10
-  const auto spec = core::TaskSpec::serial({core::TaskSpec::simple(0, 1.0),
-                                            core::TaskSpec::simple(1, 1.0)});
+  const auto spec = spec_of("S(1/1@0 1/1@1)");
   f.pm->submit_global(spec, /*deadline=*/4.0);  // stage-1 dl < 10 under EQS
   f.sim.run();
   EXPECT_EQ(f.metrics.global.missed.trials(), 1u);
@@ -125,8 +121,7 @@ TEST(ProcessManager, AbortedParallelSiblingDrainsQuietly) {
   Fixture f(2, sched::make_abort_tardy(), core::make_eqs(),
             core::make_parallel_ud());
   f.pm->submit_local(0, 10.0, 10.0, 100.0);  // hog node 0
-  const auto spec = core::TaskSpec::parallel({core::TaskSpec::simple(0, 1.0),
-                                              core::TaskSpec::simple(1, 1.0)});
+  const auto spec = spec_of("P(1/1@0 1/1@1)");
   f.pm->submit_global(spec, /*deadline=*/4.0);
   f.sim.run();
   EXPECT_EQ(f.metrics.global.missed.trials(), 1u);
@@ -137,7 +132,7 @@ TEST(ProcessManager, AbortedParallelSiblingDrainsQuietly) {
 TEST(ProcessManager, MixedWorkloadKeepsClassesSeparate) {
   Fixture f;
   f.pm->submit_local(0, 1.0, 1.0, 10.0);
-  f.pm->submit_global(core::TaskSpec::simple(1, 1.0), 10.0);
+  f.pm->submit_global(spec_of("1/1@1"), 10.0);
   f.sim.run();
   EXPECT_EQ(f.metrics.local.missed.trials(), 1u);
   EXPECT_EQ(f.metrics.global.missed.trials(), 1u);
@@ -148,7 +143,7 @@ TEST(ProcessManager, MixedWorkloadKeepsClassesSeparate) {
 TEST(ProcessManager, SubtaskWaitMeasuresQueueingOnly) {
   Fixture f;
   f.pm->submit_local(0, 2.0, 2.0, 100.0);  // busy until 2
-  f.pm->submit_global(core::TaskSpec::simple(0, 1.0), 100.0);
+  f.pm->submit_global(spec_of("1/1@0"), 100.0);
   f.sim.run();
   // Subtask waited 2, served 1.
   EXPECT_DOUBLE_EQ(f.metrics.subtask_wait.mean(), 2.0);

@@ -98,4 +98,17 @@ TEST(Flags, ThrowsOnUnparsableNumber) {
   EXPECT_THROW(f.get("load", false), std::invalid_argument);
 }
 
+TEST(Flags, NumbersConsumeTheWholeValue) {
+  const auto f = make_flags({"--k=4.7", "--m=2x", "--n=-3", "--x=2.5"});
+  EXPECT_THROW(f.get("k", 0L), std::invalid_argument);
+  EXPECT_THROW(f.get("m", 0L), std::invalid_argument);
+  EXPECT_THROW(f.get("m", 0.0), std::invalid_argument);
+  EXPECT_EQ(f.get("n", 0L), -3L);
+  EXPECT_DOUBLE_EQ(f.get("x", 0.0), 2.5);
+  EXPECT_EQ(dsrt::util::parse_long("42"), 42L);
+  EXPECT_FALSE(dsrt::util::parse_long("4.7").has_value());
+  EXPECT_FALSE(dsrt::util::parse_long("").has_value());
+  EXPECT_FALSE(dsrt::util::parse_long("99999999999999999999999").has_value());
+}
+
 }  // namespace

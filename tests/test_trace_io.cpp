@@ -12,10 +12,12 @@
 #include "dsrt/system/baseline.hpp"
 #include "dsrt/system/simulation.hpp"
 #include "dsrt/workload/trace_io.hpp"
+#include "support/spec.hpp"
 
 namespace {
 
 using namespace dsrt;
+using dsrt::testing::spec_of;
 
 bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -26,17 +28,22 @@ std::string temp_path(const std::string& name) {
 }
 
 TEST(TraceSpecGrammar, RoundTripsStructureExecAndEligibleSets) {
-  core::TaskSpec spec = core::TaskSpec::serial({
-      core::TaskSpec::simple(3, 0.125, 0.25),
-      core::TaskSpec::parallel({
-          core::TaskSpec::simple_among(1, {0, 1, 2, 3}, 1.5, 1.5),
-          core::TaskSpec::simple_among(4, {0, 2, 4}, 0.75, 0.5),
-      }),
-  });
-  const std::string text = workload::format_spec(spec);
-
+  // Built through the builder, not the grammar, so the round trip checks
+  // both halves: [T@3 [T@1* || T@4*]] with explicit eligible lists.
+  const std::vector<core::NodeId> contiguous = {0, 1, 2, 3};
+  const std::vector<core::NodeId> gapped = {0, 2, 4};
   core::TaskSpecBuilder builder;
-  core::TaskSpec parsed;
+  core::TaskSpec spec, parsed;
+  builder.reset(spec);
+  builder.begin_serial();
+  builder.leaf(3, 0.125, 0.25);
+  builder.begin_parallel();
+  builder.leaf_among(1, contiguous, 1.5, 1.5);
+  builder.leaf_among(4, gapped, 0.75, 0.5);
+  builder.end();
+  builder.end();
+  builder.finish();
+  const std::string text = workload::format_spec(spec);
   workload::parse_spec_into(text, builder, parsed);
 
   ASSERT_EQ(parsed.size(), spec.size());
@@ -95,11 +102,15 @@ TEST(TraceSpecGrammar, RejectsMalformedShapes) {
   core::TaskSpec out;
   for (const char* bad : {"", "S()", "1.0/1.0", "1.0/1.0@2{3..1}",
                           "1.0/1.0@2{1|3..5}", "S(1.0/1.0@2",
-                          "Q(1.0/1.0@2)", "1.0/1.0@x"}) {
+                          "Q(1.0/1.0@2)", "1.0/1.0@x",
+                          "1.0/1.0@4294967296"}) {
     SCOPED_TRACE(bad);
     EXPECT_THROW(workload::parse_spec_into(bad, builder, out),
                  std::invalid_argument);
   }
+  // Formatting an unfilled spec is a caller bug, reported rather than read
+  // past the empty vertex table.
+  EXPECT_THROW(workload::format_spec(core::TaskSpec()), std::logic_error);
 }
 
 TEST(TraceFile, WriterLoadRoundTripIsExact) {
@@ -108,7 +119,7 @@ TEST(TraceFile, WriterLoadRoundTripIsExact) {
     workload::TraceWriter writer(path, 6, 2);
     writer.local(0.1, 4, 0.25, 0.3, 1.75);
     writer.local(0.1, 4, 0.5, 0.5, 2.0);  // same-stamp burst
-    writer.global(0.7, core::TaskSpec::simple(2, 1.0, 1.0), 3.5);
+    writer.global(0.7, spec_of("1/1@2"), 3.5);
     writer.close();
     EXPECT_EQ(writer.records(), 3u);
   }

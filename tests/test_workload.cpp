@@ -18,13 +18,17 @@ namespace {
 
 using namespace dsrt::workload;
 using dsrt::core::SpecKind;
+using dsrt::core::SpecVertex;
 using dsrt::core::TaskSpec;
+using dsrt::core::TaskSpecBuilder;
 using dsrt::sim::Rng;
 
 TEST(SampleDistinctNodes, ProducesDistinctIdsInRange) {
   Rng rng(1);
+  ShapeScratch scratch;
   for (int trial = 0; trial < 200; ++trial) {
-    const auto sample = sample_distinct_nodes(6, 4, rng);
+    sample_distinct_nodes_into(6, 4, rng, scratch);
+    const auto& sample = scratch.sites;
     ASSERT_EQ(sample.size(), 4u);
     std::set<dsrt::core::NodeId> unique(sample.begin(), sample.end());
     EXPECT_EQ(unique.size(), 4u);
@@ -34,14 +38,18 @@ TEST(SampleDistinctNodes, ProducesDistinctIdsInRange) {
 
 TEST(SampleDistinctNodes, FullPermutationWhenCountEqualsNodes) {
   Rng rng(2);
-  const auto sample = sample_distinct_nodes(5, 5, rng);
-  std::set<dsrt::core::NodeId> unique(sample.begin(), sample.end());
+  ShapeScratch scratch;
+  sample_distinct_nodes_into(5, 5, rng, scratch);
+  std::set<dsrt::core::NodeId> unique(scratch.sites.begin(),
+                                      scratch.sites.end());
   EXPECT_EQ(unique.size(), 5u);
 }
 
 TEST(SampleDistinctNodes, RejectsOversizedRequest) {
   Rng rng(3);
-  EXPECT_THROW(sample_distinct_nodes(3, 4, rng), std::invalid_argument);
+  ShapeScratch scratch;
+  EXPECT_THROW(sample_distinct_nodes_into(3, 4, rng, scratch),
+               std::invalid_argument);
 }
 
 /// Dense reference partial Fisher-Yates: the O(n) algorithm the sparse
@@ -104,10 +112,13 @@ TEST(SampleDistinctNodes, MatchesDenseFisherYatesDrawForDraw) {
 
 TEST(SampleDistinctNodes, RoughlyUniformFirstPosition) {
   Rng rng(4);
+  ShapeScratch scratch;
   std::vector<int> counts(6, 0);
   const int n = 60000;
-  for (int i = 0; i < n; ++i)
-    ++counts[sample_distinct_nodes(6, 1, rng)[0]];
+  for (int i = 0; i < n; ++i) {
+    sample_distinct_nodes_into(6, 1, rng, scratch);
+    ++counts[scratch.sites[0]];
+  }
   for (int c : counts) EXPECT_NEAR(c, n / 6, n / 60);
 }
 
@@ -115,13 +126,18 @@ TEST(Shapes, SerialTaskStructure) {
   Rng rng(5);
   const auto exec = dsrt::sim::exponential(1.0);
   const auto perfect = make_perfect_prediction();
-  const auto task = make_serial_task(4, 6, *exec, *perfect, rng);
-  EXPECT_EQ(task.kind(), SpecKind::Serial);
+  TaskSpec task;
+  TaskSpecBuilder b;
+  b.reset(task);
+  fill_serial_task(b, 4, 6, *exec, *perfect, rng, false);
+  b.finish();
+  EXPECT_EQ(task.vertex(0).kind, SpecKind::Serial);
   EXPECT_EQ(task.leaf_count(), 4u);
-  for (const auto& child : task.children()) {
-    EXPECT_TRUE(child.is_simple());
-    EXPECT_LT(child.node(), 6u);
-    EXPECT_DOUBLE_EQ(child.pex(), child.exec());  // perfect prediction
+  for (const auto c : task.children_of(task.vertex(0))) {
+    const SpecVertex& child = task.vertex(c);
+    EXPECT_EQ(child.kind, SpecKind::Simple);
+    EXPECT_LT(child.node, 6u);
+    EXPECT_DOUBLE_EQ(child.pex, child.exec);  // perfect prediction
   }
 }
 
@@ -129,23 +145,36 @@ TEST(Shapes, ParallelTaskUsesDistinctNodes) {
   Rng rng(6);
   const auto exec = dsrt::sim::exponential(1.0);
   const auto perfect = make_perfect_prediction();
+  TaskSpec task;
+  TaskSpecBuilder b;
+  ShapeScratch scratch;
   for (int trial = 0; trial < 100; ++trial) {
-    const auto task = make_parallel_task(4, 6, *exec, *perfect, rng);
-    EXPECT_EQ(task.kind(), SpecKind::Parallel);
+    b.reset(task);
+    fill_parallel_task(b, 4, 6, *exec, *perfect, rng, false, scratch);
+    b.finish();
+    EXPECT_EQ(task.vertex(0).kind, SpecKind::Parallel);
     std::set<dsrt::core::NodeId> nodes;
-    for (const auto& child : task.children()) nodes.insert(child.node());
+    for (const auto c : task.children_of(task.vertex(0)))
+      nodes.insert(task.vertex(c).node);
     EXPECT_EQ(nodes.size(), 4u) << "subtasks must land on distinct nodes";
   }
 }
 
 TEST(Shapes, SerialTaskTotalExecIsErlangLike) {
-  // Sum of m iid Exp(1) has mean m and variance m (m-stage Erlang).
+  // Sum of m iid Exp(1) has mean m and variance m (m-stage Erlang); for a
+  // serial chain the critical path is the total work.
   Rng rng(7);
   const auto exec = dsrt::sim::exponential(1.0);
   const auto perfect = make_perfect_prediction();
+  TaskSpec task;
+  TaskSpecBuilder b;
   dsrt::stats::Tally t;
-  for (int i = 0; i < 40000; ++i)
-    t.add(make_serial_task(4, 6, *exec, *perfect, rng).total_exec());
+  for (int i = 0; i < 40000; ++i) {
+    b.reset(task);
+    fill_serial_task(b, 4, 6, *exec, *perfect, rng, false);
+    b.finish();
+    t.add(task.critical_path_exec());
+  }
   EXPECT_NEAR(t.mean(), 4.0, 0.05);
   EXPECT_NEAR(t.variance(), 4.0, 0.2);
 }
@@ -154,14 +183,20 @@ TEST(Shapes, RejectsDegenerateRequests) {
   Rng rng(8);
   const auto exec = dsrt::sim::exponential(1.0);
   const auto perfect = make_perfect_prediction();
-  EXPECT_THROW(make_serial_task(0, 6, *exec, *perfect, rng),
+  TaskSpec task;
+  TaskSpecBuilder b;
+  ShapeScratch scratch;
+  b.reset(task);
+  EXPECT_THROW(fill_serial_task(b, 0, 6, *exec, *perfect, rng, false),
                std::invalid_argument);
-  EXPECT_THROW(make_serial_task(2, 0, *exec, *perfect, rng),
+  EXPECT_THROW(fill_serial_task(b, 2, 0, *exec, *perfect, rng, false),
                std::invalid_argument);
-  EXPECT_THROW(make_parallel_task(0, 6, *exec, *perfect, rng),
-               std::invalid_argument);
-  EXPECT_THROW(make_parallel_task(7, 6, *exec, *perfect, rng),
-               std::invalid_argument);
+  EXPECT_THROW(
+      fill_parallel_task(b, 0, 6, *exec, *perfect, rng, false, scratch),
+      std::invalid_argument);
+  EXPECT_THROW(
+      fill_parallel_task(b, 7, 6, *exec, *perfect, rng, false, scratch),
+      std::invalid_argument);
 }
 
 TEST(Shapes, SerialParallelRespectsShape) {
@@ -172,12 +207,19 @@ TEST(Shapes, SerialParallelRespectsShape) {
   shape.stages = 5;
   shape.parallel_prob = 1.0;  // every stage parallel
   shape.parallel_width = 3;
-  const auto task = make_serial_parallel_task(shape, 6, *exec, *perfect, rng);
-  EXPECT_EQ(task.kind(), SpecKind::Serial);
-  ASSERT_EQ(task.children().size(), 5u);
-  for (const auto& stage : task.children()) {
-    EXPECT_EQ(stage.kind(), SpecKind::Parallel);
-    EXPECT_EQ(stage.children().size(), 3u);
+  TaskSpec task;
+  TaskSpecBuilder b;
+  ShapeScratch scratch;
+  b.reset(task);
+  fill_serial_parallel_task(b, shape, 6, *exec, *perfect, rng, false,
+                            scratch);
+  b.finish();
+  EXPECT_EQ(task.vertex(0).kind, SpecKind::Serial);
+  const auto stages = task.children_of(task.vertex(0));
+  ASSERT_EQ(stages.size(), 5u);
+  for (const auto s : stages) {
+    EXPECT_EQ(task.vertex(s).kind, SpecKind::Parallel);
+    EXPECT_EQ(task.vertex(s).child_count, 3u);
   }
   EXPECT_EQ(task.leaf_count(), 15u);
 }
@@ -190,8 +232,15 @@ TEST(Shapes, SerialParallelAllSimpleWhenProbZero) {
   shape.stages = 4;
   shape.parallel_prob = 0.0;
   shape.parallel_width = 3;
-  const auto task = make_serial_parallel_task(shape, 6, *exec, *perfect, rng);
-  for (const auto& stage : task.children()) EXPECT_TRUE(stage.is_simple());
+  TaskSpec task;
+  TaskSpecBuilder b;
+  ShapeScratch scratch;
+  b.reset(task);
+  fill_serial_parallel_task(b, shape, 6, *exec, *perfect, rng, false,
+                            scratch);
+  b.finish();
+  for (const auto s : task.children_of(task.vertex(0)))
+    EXPECT_EQ(task.vertex(s).kind, SpecKind::Simple);
 }
 
 TEST(Shapes, ExpectedLeavesFormula) {
@@ -211,11 +260,17 @@ TEST(Shapes, ExpectedLeavesMatchesEmpirical) {
   shape.stages = 3;
   shape.parallel_prob = 0.5;
   shape.parallel_width = 3;
+  TaskSpec task;
+  TaskSpecBuilder b;
+  ShapeScratch scratch;
   dsrt::stats::Tally t;
-  for (int i = 0; i < 20000; ++i)
-    t.add(static_cast<double>(
-        make_serial_parallel_task(shape, 6, *exec, *perfect, rng)
-            .leaf_count()));
+  for (int i = 0; i < 20000; ++i) {
+    b.reset(task);
+    fill_serial_parallel_task(b, shape, 6, *exec, *perfect, rng, false,
+                              scratch);
+    b.finish();
+    t.add(static_cast<double>(task.leaf_count()));
+  }
   EXPECT_NEAR(t.mean(), shape.expected_leaves(), 0.05);
 }
 

@@ -22,7 +22,8 @@ namespace {
 using namespace dsrt;
 
 const char* kCommitted[] = {"fig2_ssp", "fig3_frac_local", "fig4_psp",
-                            "abl_scale_quick", "wl_mix", "abl_stale_decay"};
+                            "abl_scale_quick", "wl_mix", "abl_stale_decay",
+                            "abl_faults"};
 
 std::string expectations_dir() {
   return std::string(DSRT_REPO_DIR) + "/expectations";
