@@ -9,10 +9,12 @@
 //     a bucketed ladder (amortized O(1) inserts, small sorted front).
 //     Pop order is identical in every mode, so the trajectory — and every
 //     metric — is layout-invariant; only events/second moves.
-//   * placement — jsq-pex scans all k eligible nodes per decision (O(k));
-//     pod:d samples d of them (power-of-d-choices, O(d)) and takes the
-//     argmin. The sweep shows where pod's constant cost beats jsq's scan
-//     while staying close on MD.
+//   * placement — jsq-pex answers each decision from the exact board's
+//     rank index (a min/tie-count tree over node ids, O(log k) per
+//     decision plus O(log k) per backlog change); pod:d samples d nodes
+//     (power-of-d-choices, O(d)) and takes the argmin. The sweep shows
+//     what each costs per event as k grows, and how close pod stays to
+//     jsq on MD.
 //   * memory — resident set per cell, to catch accidental O(k^2) tables.
 //
 // Per-point cost stays roughly flat: scaled_node_config shrinks the

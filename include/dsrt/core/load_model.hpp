@@ -2,11 +2,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "dsrt/core/min_index.hpp"
 #include "dsrt/core/task.hpp"
 #include "dsrt/sim/time.hpp"
 
@@ -32,6 +34,50 @@ struct NodeLoad {
   bool down = false;
 };
 
+/// The load figure join-shortest-queue placement ranks nodes by.
+enum class LoadKey : std::uint8_t { QueuedPex, Utilization };
+
+/// A node's rank under `key`. A crashed node is infinitely loaded: it is
+/// only chosen when every candidate the model knows of is down (fail-fast
+/// and retry then deal with the loser), and snapshot views un-mark it with
+/// the same delay as any other load change.
+inline double rank_key(const NodeLoad& load, LoadKey key) {
+  if (load.down) return std::numeric_limits<double>::infinity();
+  return key == LoadKey::QueuedPex ? load.queued_pex : load.utilization;
+}
+
+/// The ids of board accounts whose queued-pex rank (backlog or down flag)
+/// changed since the last drain, each listed once. An exact load view
+/// attaches one to its board so it can re-key only those nodes before the
+/// next placement decision. Sized once for the board; marking allocates
+/// nothing.
+class LoadChanges {
+ public:
+  /// Makes room for ids [0, n).
+  void resize(std::size_t n) {
+    pending_.resize(n, 0);
+    ids_.reserve(n);
+  }
+  void mark(NodeId id) {
+    if (pending_[id]) return;
+    pending_[id] = 1;
+    ids_.push_back(id);
+  }
+  /// Calls fn(id) for every marked id, then clears the marks.
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    for (const NodeId id : ids_) {
+      pending_[id] = 0;
+      fn(id);
+    }
+    ids_.clear();
+  }
+
+ private:
+  std::vector<std::uint8_t> pending_;
+  std::vector<NodeId> ids_;
+};
+
 /// Per-node load accounting slot, written by the owning `sched::Node` at
 /// submit/dispatch/dispose instants and read through a `LoadModel`. Kept in
 /// `core` so strategies can consume load without depending on `sched`.
@@ -47,11 +93,15 @@ class LoadAccount {
   void configure(double tau, sim::Time now);
 
   /// A job arrived at the node (enters queue or service).
-  void add_backlog(double pex) { backlog_ += pex; }
+  void add_backlog(double pex) {
+    backlog_ += pex;
+    changed();
+  }
   /// A job left the node (completed or aborted).
   void remove_backlog(double pex) {
     backlog_ -= pex;
     if (backlog_ < 0) backlog_ = 0;  // guard pex rounding drift
+    changed();
   }
   /// Mirrors the node's waiting-queue length.
   void set_queue_length(std::size_t n) {
@@ -62,20 +112,38 @@ class LoadAccount {
   void set_busy(sim::Time now, bool busy);
   /// Marks the node crashed / recovered (mirrors `sched::Node::fail` and
   /// `recover`).
-  void set_down(bool down) { down_ = down; }
+  void set_down(bool down) {
+    down_ = down;
+    changed();
+  }
 
   /// Current load with the EWMA decayed to `now`. Pure.
   NodeLoad read(sim::Time now) const;
+  /// rank_key(read(now), LoadKey::QueuedPex), which does not depend on
+  /// `now`.
+  double pex_rank() const {
+    NodeLoad load;
+    load.queued_pex = backlog_;
+    load.down = down_;
+    return rank_key(load, LoadKey::QueuedPex);
+  }
 
  private:
+  friend class LoadBoard;
+
   double ewma_at(sim::Time now) const;
+  void changed() {
+    if (changes_) changes_->mark(id_);
+  }
 
   double backlog_ = 0;
+  LoadChanges* changes_ = nullptr;  ///< set while a view watches the board
+  NodeId id_ = 0;                   ///< index on the board
   std::uint32_t queue_length_ = 0;
   bool down_ = false;
+  bool busy_ = false;
   double tau_ = 1;
   double util_ewma_ = 0;
-  bool busy_ = false;
   sim::Time last_update_ = 0;
 };
 
@@ -103,9 +171,26 @@ class LoadBoard {
   /// existing account addresses survive; shrinking only lowers the
   /// logical size).
   void resize(std::size_t n) {
-    while (shards_.size() * kShardSize < n)
+    while (shards_.size() * kShardSize < n) {
       shards_.push_back(std::make_unique<Shard>());
+      wire(*shards_.back(), shards_.size() - 1);
+    }
     size_ = n;
+  }
+
+  /// Routes every rank-changing account write (backlog, down flag) to
+  /// `changes`, for an exact view that keeps a placement index. One
+  /// watcher at a time: returns false, changing nothing, if another is
+  /// attached. The watcher must unwatch() before it goes away.
+  bool watch(LoadChanges* changes) {
+    if (changes_ && changes_ != changes) return false;
+    changes_ = changes;
+    for (std::size_t j = 0; j < shards_.size(); ++j) wire(*shards_[j], j);
+    return true;
+  }
+  void unwatch() {
+    changes_ = nullptr;
+    for (std::size_t j = 0; j < shards_.size(); ++j) wire(*shards_[j], j);
   }
 
   std::size_t size() const { return size_; }
@@ -137,8 +222,18 @@ class LoadBoard {
     LoadAccount slots[kShardSize];
   };
 
+  /// Gives shard j's accounts their ids and the current watcher.
+  void wire(Shard& shard, std::size_t j) {
+    if (changes_) changes_->resize(shards_.size() * kShardSize);
+    for (std::size_t s = 0; s < kShardSize; ++s) {
+      shard.slots[s].id_ = static_cast<NodeId>(j * kShardSize + s);
+      shard.slots[s].changes_ = changes_;
+    }
+  }
+
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t size_ = 0;
+  LoadChanges* changes_ = nullptr;
 };
 
 /// System-state view offered to SSP/PSP strategies (the paper's Section 7
@@ -153,6 +248,20 @@ class LoadModel {
   /// Load of `node` as this model sees it at simulated time `now`.
   virtual NodeLoad load(NodeId node, sim::Time now) const = 0;
   virtual std::string_view name() const = 0;
+
+  /// Join-shortest-queue support: an index ranking every node the view
+  /// knows of by rank_key(load(node, now), key), brought up to date for a
+  /// decision at `now` over ids below `end`, with `reads` candidate reads
+  /// charged exactly as that many load() calls would charge them. Returns
+  /// nullptr, charging nothing, when the view keeps no index for `key` or
+  /// its index does not reach `end`; the caller then reads load() per
+  /// candidate. The caller may mask ids for one decision and must unmask
+  /// them before the view is used again.
+  virtual MinIndex* rank_index(LoadKey /*key*/, sim::Time /*now*/,
+                               std::size_t /*end*/,
+                               std::size_t /*reads*/) const {
+    return nullptr;
+  }
 };
 
 using LoadModelPtr = std::shared_ptr<const LoadModel>;
@@ -167,23 +276,40 @@ class IdleLoadModel final : public LoadModel {
 };
 
 /// Oracle freshness: reads the live accounts.
+///
+/// The queued-pex rank index is built on the first jsq-pex query: the
+/// view then watches the board, and the account writes that change a
+/// node's rank mark it, so each query re-keys only the nodes marked since
+/// the last one. Views never queried that way attach nothing. The
+/// utilization EWMA decays between writes, so jsq-util gets no index.
 class ExactLoadModel final : public LoadModel {
  public:
-  explicit ExactLoadModel(const LoadBoard& accounts)
-      : accounts_(accounts) {}
+  explicit ExactLoadModel(LoadBoard& accounts) : accounts_(accounts) {}
+  ~ExactLoadModel() override {
+    if (watching_) accounts_.unwatch();
+  }
+  ExactLoadModel(const ExactLoadModel&) = delete;
+  ExactLoadModel& operator=(const ExactLoadModel&) = delete;
+
   NodeLoad load(NodeId node, sim::Time now) const override;
   std::string_view name() const override { return "exact"; }
+  MinIndex* rank_index(LoadKey key, sim::Time now, std::size_t end,
+                       std::size_t reads) const override;
 
   /// Board reads served so far (obs probe; an oracle read is always age 0).
   std::uint64_t reads() const { return reads_; }
 
  private:
-  const LoadBoard& accounts_;
+  LoadBoard& accounts_;
   /// Passive read counter. Mutable-in-const for the same reason as
   /// JsqPlacement's tie rotation: the model is shared as a pointer-to-
   /// const, but each simulation run owns a fresh instance and a run is
-  /// single-threaded.
+  /// single-threaded. The index state below is mutable for the same
+  /// reason.
   mutable std::uint64_t reads_ = 0;
+  mutable bool watching_ = false;
+  mutable LoadChanges changes_;
+  mutable MinIndex index_;
 };
 
 /// Periodic-snapshot freshness. `refresh(now)` copies the live accounts
@@ -192,7 +318,13 @@ class ExactLoadModel final : public LoadModel {
 /// (`Serve::Latest` — the "sampled" model) or the previous one
 /// (`Serve::Previous` — the "stale"/propagation-delay model, in which a
 /// read at time t sees state that is between one and two periods old).
-/// Before the first refresh both snapshots are zero (cold start).
+/// Before the first refresh both snapshots are zero (cold start). The
+/// snapshots follow the board's size at every refresh; a node the served
+/// snapshot does not cover reads as zero.
+///
+/// A jsq query builds the rank index from the served snapshot the first
+/// time it is asked after a refresh; between refreshes the index is only
+/// read.
 class SnapshotLoadModel final : public LoadModel {
  public:
   enum class Serve : std::uint8_t { Latest, Previous };
@@ -208,6 +340,8 @@ class SnapshotLoadModel final : public LoadModel {
   std::string_view name() const override {
     return serve_ == Serve::Latest ? "sampled" : "stale";
   }
+  MinIndex* rank_index(LoadKey key, sim::Time now, std::size_t end,
+                       std::size_t reads) const override;
 
   /// Obs probes: refreshes and reads so far, and the mean age (read time
   /// minus the served snapshot's capture time) over all reads — the
@@ -229,9 +363,14 @@ class SnapshotLoadModel final : public LoadModel {
   sim::Time current_at_ = 0;   ///< capture time of current_
   sim::Time previous_at_ = 0;  ///< capture time of previous_
   std::uint64_t refreshes_ = 0;
-  /// Passive read accounting; mutable-in-const (see ExactLoadModel).
+  /// Passive read accounting and the rank index; mutable-in-const (see
+  /// ExactLoadModel).
   mutable std::uint64_t reads_ = 0;
   mutable double age_sum_ = 0;
+  mutable MinIndex index_;
+  mutable LoadKey index_key_ = LoadKey::QueuedPex;
+  /// refreshes_ when index_ was last built (none yet: all ones).
+  mutable std::uint64_t indexed_at_ = ~std::uint64_t{0};
 };
 
 /// Which freshness a run should wire up.

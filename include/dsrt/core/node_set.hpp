@@ -175,6 +175,10 @@ class CandidateView {
   bool contains(NodeId node) const {
     return set_.contains(node) && !is_excluded(node);
   }
+  /// The eligible set the view draws from.
+  const EligibleSet& set() const { return set_; }
+  /// The exclusions, sorted ascending (members outside set() included).
+  std::span<const NodeId> excluded() const { return excluded_; }
 
   iterator begin() const { return iterator(this, 0); }
   iterator end() const { return iterator(this, set_.size()); }

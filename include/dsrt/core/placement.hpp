@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "dsrt/core/load_model.hpp"
 #include "dsrt/core/node_set.hpp"
 #include "dsrt/core/strategy.hpp"
 #include "dsrt/core/task.hpp"
@@ -96,6 +97,14 @@ class StaticPlacement final : public PlacementPolicy {
 /// 0. With no LoadModel wired every key is zero and the policy *is*
 /// round-robin — a useful placement baseline in its own right.
 ///
+/// Over a contiguous eligible range the decision is answered by the load
+/// model's rank index (LoadModel::rank_index) in O((1 + #excluded) log k):
+/// mask the excluded ids, take the range's minimum and tie count, pick the
+/// (seq mod ties)-th tie in id order, unmask. A list-form eligible set, or
+/// a model that keeps no index for the key (jsq-util over the exact board,
+/// whose EWMA decays continuously), is ranked by one read per candidate
+/// instead; both paths pick the same node and count the same reads.
+///
 /// The counter is mutable-in-const for the same reason as AdaptiveDivX's
 /// adaptation state: policy handles are shared as pointers-to-const, but
 /// every simulation run constructs its own instance from the declarative
@@ -103,7 +112,7 @@ class StaticPlacement final : public PlacementPolicy {
 /// race-free and `--jobs`-invariant.
 class JsqPlacement final : public PlacementPolicy {
  public:
-  enum class Key : std::uint8_t { QueuedPex, Utilization };
+  using Key = LoadKey;
 
   explicit JsqPlacement(Key key) : key_(key) {}
 
@@ -117,6 +126,14 @@ class JsqPlacement final : public PlacementPolicy {
   std::uint64_t decisions() const { return seq_; }
 
  private:
+  /// The tie rotation's pick among `ties` minimal candidates.
+  std::size_t next_tie(std::size_t ties) const {
+    if (ties > 1) ++counters_.exact_ties;
+    return static_cast<std::size_t>(seq_++ % ties);
+  }
+  NodeId place_by_reads(const PlacementContext& ctx,
+                        CandidateView candidates) const;
+
   Key key_;
   mutable std::uint64_t seq_ = 0;
   /// Scratch for one decision's candidate keys (board reads are not free —
@@ -128,8 +145,9 @@ class JsqPlacement final : public PlacementPolicy {
 /// Power-of-d-choices placement (Mitzenmacher's two-choices result, the
 /// standard scalable stand-in for full JSQ): sample d candidates without
 /// replacement from the eligible set and take the argmin queued-pex among
-/// them. O(d) per decision where full jsq is O(k) — the policy that
-/// survives thousands-of-nodes configurations.
+/// them. O(d) per decision over any eligible set, with no index to keep:
+/// full jsq is O(log k) only over a range-form set and a model that keeps
+/// a rank index, and O(k) otherwise.
 ///
 /// Draw-order contract (pinned by tests, and what makes --jobs=1 equal
 /// --jobs=N): a decision over n candidates performs *exactly* d calls to

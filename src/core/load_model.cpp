@@ -42,6 +42,31 @@ NodeLoad ExactLoadModel::load(NodeId node, sim::Time now) const {
   return accounts_[node].read(now);
 }
 
+MinIndex* ExactLoadModel::rank_index(LoadKey key, sim::Time /*now*/,
+                                     std::size_t end,
+                                     std::size_t reads) const {
+  // The utilization EWMA moves between writes; only queued pex is indexed.
+  if (key != LoadKey::QueuedPex) return nullptr;
+  if (!watching_) {
+    if (!accounts_.watch(&changes_)) return nullptr;  // another view's board
+    watching_ = true;
+  }
+  if (index_.size() != accounts_.size()) {
+    // First query, or the board grew: every node is re-ranked.
+    changes_.drain([](NodeId) {});
+    index_.rebuild(accounts_.size(), [&](std::size_t id) {
+      return accounts_[id].pex_rank();
+    });
+  } else {
+    changes_.drain([&](NodeId id) {
+      if (id < index_.size()) index_.set(id, accounts_[id].pex_rank());
+    });
+  }
+  if (end > index_.size()) return nullptr;
+  reads_ += reads;
+  return &index_;
+}
+
 SnapshotLoadModel::SnapshotLoadModel(const LoadBoard& accounts,
                                      sim::Time period, Serve serve)
     : accounts_(accounts),
@@ -58,6 +83,8 @@ void SnapshotLoadModel::refresh(sim::Time now) {
   previous_at_ = current_at_;
   current_at_ = now;
   ++refreshes_;
+  // The board may have grown (or shrunk) since the last capture.
+  current_.resize(accounts_.size());
   // Shard-wise sweep over the board: each block is cache-resident and
   // independent of the lines the nodes are writing concurrently-in-sim-
   // time, so the k=4096 refresh stays a tight streaming loop.
@@ -73,6 +100,25 @@ NodeLoad SnapshotLoadModel::load(NodeId node, sim::Time now) const {
   const auto& served = serve_ == Serve::Latest ? current_ : previous_;
   if (node >= served.size()) return {};
   return served[node];
+}
+
+MinIndex* SnapshotLoadModel::rank_index(LoadKey key, sim::Time now,
+                                        std::size_t end,
+                                        std::size_t reads) const {
+  const bool latest = serve_ == Serve::Latest;
+  if (indexed_at_ != refreshes_ || index_key_ != key) {
+    const auto& served = latest ? current_ : previous_;
+    index_.rebuild(served.size(), [&](std::size_t id) {
+      return rank_key(served[id], key);
+    });
+    indexed_at_ = refreshes_;
+    index_key_ = key;
+  }
+  if (end > index_.size()) return nullptr;
+  reads_ += reads;
+  age_sum_ += static_cast<double>(reads) *
+              (now - (latest ? current_at_ : previous_at_));
+  return &index_;
 }
 
 LoadModelSpec LoadModelSpec::parse(std::string_view text) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -26,6 +25,28 @@ NodeId JsqPlacement::place(const PlacementContext& ctx,
   if (candidates.empty())
     throw std::invalid_argument("JsqPlacement: empty candidate set");
   ++counters_.decisions;
+  // No state information: every key is zero and every candidate ties.
+  if (!ctx.load) return candidates[next_tie(candidates.size())];
+  const EligibleSet& set = candidates.set();
+  if (!set.is_range()) return place_by_reads(ctx, candidates);
+  const std::size_t lo = set.front();
+  const std::size_t hi = lo + set.size();
+  MinIndex* index =
+      ctx.load->rank_index(key_, ctx.now, hi, candidates.size());
+  if (!index) return place_by_reads(ctx, candidates);
+  const auto excluded = candidates.excluded();
+  const auto first = std::lower_bound(excluded.begin(), excluded.end(), lo);
+  const auto last = std::lower_bound(first, excluded.end(), hi);
+  for (auto it = first; it != last; ++it) index->mask(*it);
+  const MinIndex::RangeMin best = index->min(lo, hi);
+  const std::size_t node = index->nth_min(
+      lo, hi, best.key, static_cast<std::uint32_t>(next_tie(best.ties)));
+  for (auto it = first; it != last; ++it) index->unmask(*it);
+  return static_cast<NodeId>(node);
+}
+
+NodeId JsqPlacement::place_by_reads(const PlacementContext& ctx,
+                                    CandidateView candidates) const {
   // One model read per candidate (each read decays an EWMA with an exp());
   // the keys are kept in a high-water-reserved scratch so the tie-indexing
   // pass below never re-queries the board.
@@ -33,17 +54,7 @@ NodeId JsqPlacement::place(const PlacementContext& ctx,
   double best = 0;
   std::size_t ties = 0;
   for (const NodeId node : candidates) {
-    double key = 0;
-    if (ctx.load) {
-      const NodeLoad load = ctx.load->load(node, ctx.now);
-      // A crashed node is infinitely loaded: only chosen when every
-      // candidate the model knows of is down (fail-fast + retry then deal
-      // with the loser). Stale views un-mark it with the same delay as any
-      // other load change.
-      key = load.down ? std::numeric_limits<double>::infinity()
-            : key_ == Key::QueuedPex ? load.queued_pex
-                                     : load.utilization;
-    }
+    const double key = rank_key(ctx.load->load(node, ctx.now), key_);
     keys_.push_back(key);
     if (ties == 0 || key < best) {
       best = key;
@@ -54,8 +65,7 @@ NodeId JsqPlacement::place(const PlacementContext& ctx,
   }
   // Exact ties rotate through the per-run sequence counter: deterministic,
   // and uniform over the tied set on an idle board.
-  if (ties > 1) ++counters_.exact_ties;
-  std::size_t skip = static_cast<std::size_t>(seq_++ % ties);
+  std::size_t skip = next_tie(ties);
   std::size_t i = 0;
   for (const NodeId node : candidates) {
     if (keys_[i++] == best) {
@@ -74,10 +84,7 @@ NodeId PodPlacement::place(const PlacementContext& ctx,
   const std::size_t n = candidates.size();
   const auto key_of = [&](NodeId node) {
     if (!ctx.load) return 0.0;
-    const NodeLoad load = ctx.load->load(node, ctx.now);
-    // Down = infinitely loaded, as in JsqPlacement.
-    return load.down ? std::numeric_limits<double>::infinity()
-                     : load.queued_pex;
+    return rank_key(ctx.load->load(node, ctx.now), LoadKey::QueuedPex);
   };
   if (n <= d_) {
     // Exhaustive fallback: a set this small is cheaper to scan than to

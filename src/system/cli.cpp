@@ -190,7 +190,7 @@ std::string cli_usage() {
       "                       eligible node via --load_model, pod[:d] =\n"
       "                       power-of-d-choices (d rng samples, argmin\n"
       "                       queued pex; default d=2) — O(d) per decision\n"
-      "                       vs jsq's O(k) scan\n"
+      "                       vs jsq's O(log k) over a node range\n"
       "  --event_queue=" + joined_names(sim::queue_mode_names()) + "\n"
       "                       pending-set layout (adaptive = sorted/heap/\n"
       "                       ladder by occupancy; forced modes for A/B).\n"

@@ -181,49 +181,66 @@ TEST(AllocSteadyState, AttachedObserversStayBounded) {
       << " tasks";
 }
 
-/// The big-config system: k=1024 nodes, forced-ladder event queue (~2050
-/// events stay pending, past the bucket threshold), pod:2 placement over
-/// an exact load board, deferred eligible-set specs. Hand-wired like
+/// A system with deferred placement over a load board: every global leaf
+/// carries an eligible set and is bound by a placement policy reading the
+/// board through an exact or sampled view (the sampled one refreshed every
+/// simulated time unit, as SimulationRun chains it). Hand-wired like
 /// Fig2System, mirroring SimulationRun's proportional reserves.
-struct ScaleSystem {
-  static constexpr std::size_t kNodes = 1024;
-  static constexpr sim::Time kHorizon = 2000.0;
+struct PlacedSystem {
+  struct Options {
+    std::size_t nodes;
+    sim::QueueMode queue;
+    const char* placement;
+    core::LoadModelKind load_model;
+    sim::Time horizon;
+    int flood;  ///< concurrent tasks of the pool prewarm
+  };
 
+  Options opt;
   sim::Simulator sim;
   std::vector<std::unique_ptr<sched::Node>> nodes;
-  core::LoadBoard board{kNodes};
-  core::ExactLoadModel model{board};
+  core::LoadBoard board;
+  std::unique_ptr<core::LoadModel> model;
+  core::SnapshotLoadModel* snapshot = nullptr;
   core::PlacementPolicyPtr placement;
   system::RunMetrics metrics;
   std::unique_ptr<system::ProcessManager> pm;
   std::vector<std::unique_ptr<workload::LocalTaskSource>> locals;
   std::unique_ptr<workload::GlobalTaskSource> globals;
 
-  ScaleSystem() {
+  explicit PlacedSystem(Options o) : opt(o), board(o.nodes) {
     system::Config cfg = system::baseline_ssp();
-    cfg.nodes = kNodes;
+    cfg.nodes = opt.nodes;
     // Before the first push: a forced layout applies from event one.
-    sim.configure_queue(sim::QueueMode::Ladder, 2 * kNodes + 64);
-    placement = core::make_placement(core::PlacementSpec::parse("pod:2"),
-                                     cfg.seed);
-    for (std::size_t i = 0; i < kNodes; ++i) {
+    sim.configure_queue(opt.queue, 2 * opt.nodes + 64);
+    placement = core::make_placement(
+        core::PlacementSpec::parse(opt.placement), cfg.seed);
+    if (opt.load_model == core::LoadModelKind::Exact) {
+      model = std::make_unique<core::ExactLoadModel>(board);
+    } else {
+      auto snap = std::make_unique<core::SnapshotLoadModel>(
+          board, /*period=*/1.0, core::SnapshotLoadModel::Serve::Latest);
+      snapshot = snap.get();
+      model = std::move(snap);
+    }
+    for (std::size_t i = 0; i < opt.nodes; ++i) {
       nodes.push_back(std::make_unique<sched::Node>(
           static_cast<core::NodeId>(i), sim, cfg.policy, cfg.abort_policy,
           cfg.preemption));
-      nodes.back()->reserve_ready(128);
+      nodes.back()->reserve_ready(opt.nodes >= 1024 ? 128 : 64);
       board[i].configure(cfg.load_model.ewma_tau, sim.now());
       nodes.back()->attach_load_account(&board[i]);
     }
     pm = std::make_unique<system::ProcessManager>(
-        sim, nodes, cfg.ssp, cfg.psp, metrics, &model, placement.get());
-    pm->reserve_for_scale(kNodes);
+        sim, nodes, cfg.ssp, cfg.psp, metrics, model.get(), placement.get());
+    pm->reserve_for_scale(opt.nodes);
     const double local_rate =
-        cfg.lambda_local_total() / static_cast<double>(kNodes);
-    for (std::size_t i = 0; i < kNodes; ++i) {
+        cfg.lambda_local_total() / static_cast<double>(opt.nodes);
+    for (std::size_t i = 0; i < opt.nodes; ++i) {
       locals.push_back(std::make_unique<workload::LocalTaskSource>(
           sim, static_cast<core::NodeId>(i), local_rate, cfg.local_exec,
           cfg.local_slack, cfg.pex_error, sim::Rng(cfg.seed, 100 + i),
-          kHorizon,
+          opt.horizon,
           [this](core::NodeId node, double exec, double pex,
                  sim::Time deadline) {
             pm->submit_local(node, exec, pex, deadline);
@@ -231,28 +248,45 @@ struct ScaleSystem {
     }
     workload::GlobalTaskParams params;
     params.shape = cfg.shape;
-    params.nodes = kNodes;
+    params.nodes = opt.nodes;
     params.subtasks = cfg.subtasks;
     params.exec = cfg.subtask_exec;
     params.slack = cfg.global_slack();
     params.pex_error = cfg.pex_error;
-    params.defer_placement = true;  // eligible-set leaves, bound by pod:2
+    params.defer_placement = true;  // eligible-set leaves, bound by policy
     globals = std::make_unique<workload::GlobalTaskSource>(
         sim, std::move(params), cfg.lambda_global(), sim::Rng(cfg.seed, 1),
-        kHorizon, [this](const core::TaskSpec& spec, sim::Time deadline) {
+        opt.horizon, [this](const core::TaskSpec& spec, sim::Time deadline) {
           pm->submit_global(spec, deadline);
         });
-    // Pool prewarm, scaled: at k=1024 the global arrival rate keeps a few
-    // hundred instances live; flooding well past that peak moves every
+    // Pool prewarm, scaled: the live-instance peak grows with the global
+    // arrival rate (proportional to k); flooding well past it moves every
     // slot-map growth into warm-up (see Fig2System for the rationale).
     const auto flood = spec_of(
         "S(0.001/0.001@0 0.001/0.001@1 0.001/0.001@2 0.001/0.001@3)");
-    for (int i = 0; i < 768; ++i) pm->submit_global(flood, /*deadline=*/1e9);
+    for (int i = 0; i < opt.flood; ++i)
+      pm->submit_global(flood, /*deadline=*/1e9);
     sim.run(sim.now() + 10.0);  // drain the flood
+    if (snapshot) schedule_refresh();
     for (auto& source : locals) source->start();
     globals->start();
   }
+
+  void schedule_refresh() {
+    sim.at(sim.now() + snapshot->period(), [this] {
+      snapshot->refresh(sim.now());
+      schedule_refresh();
+    });
+  }
 };
+
+/// The big-config system: k=1024 nodes, forced-ladder event queue (~2050
+/// events stay pending, past the bucket threshold), pod:2 placement over
+/// an exact load board.
+PlacedSystem::Options scale_options() {
+  return {1024, sim::QueueMode::Ladder, "pod:2", core::LoadModelKind::Exact,
+          2000.0, 768};
+}
 
 TEST(AllocSteadyState, BigConfigLadderPodCycleAllocatesNothing) {
   // The k>=1024 acceptance bar of the scaling PR: with the ladder queue
@@ -260,7 +294,7 @@ TEST(AllocSteadyState, BigConfigLadderPodCycleAllocatesNothing) {
   // the sharded load board live, the warmed steady-state cycle must not
   // touch the allocator at all — same contract as the fig2 baseline, at
   // 170x the node count.
-  ScaleSystem s;
+  PlacedSystem s(scale_options());
 
   // Warm-up: ~250k local + ~18k global lifecycles push the ladder buckets,
   // overflow/respill scratch, eligible-set pools, and every per-node queue
@@ -287,6 +321,39 @@ TEST(AllocSteadyState, BigConfigLadderPodCycleAllocatesNothing) {
                         << " global tasks";
   EXPECT_EQ(frees, 0u) << "big-config steady-state cycle freed " << frees
                        << " heap blocks over " << tasks << " global tasks";
+}
+
+/// Warms a k=64 jsq-pex system over `kind`, then counts the allocations
+/// of a further stretch of simulated time.
+void expect_warm_jsq_cycle_allocates_nothing(core::LoadModelKind kind) {
+  PlacedSystem s({64, sim::QueueMode::Adaptive, "jsq-pex", kind, 6000.0, 256});
+  // Warm-up: the rank index is built on the first decision and, over the
+  // sampled view, rebuilt after every refresh; the exact view re-keys the
+  // nodes each account write marked. Both reach their final size here.
+  s.sim.run(2000.0);
+  ASSERT_GT(s.placement->counters().decisions, 1000u);
+
+  const std::uint64_t allocs_before = dsrt::testing::allocation_count();
+  const std::uint64_t decisions_before = s.placement->counters().decisions;
+  s.sim.run(5000.0);
+  const std::uint64_t allocs =
+      dsrt::testing::allocation_count() - allocs_before;
+  const std::uint64_t decisions =
+      s.placement->counters().decisions - decisions_before;
+
+  EXPECT_GT(decisions, 1000u);
+  if (s.snapshot) EXPECT_GT(s.snapshot->refreshes(), 4000u);
+  EXPECT_EQ(allocs, 0u) << "warm jsq-pex cycle over " << s.model->name()
+                        << " hit the allocator " << allocs << " times over "
+                        << decisions << " placement decisions";
+}
+
+TEST(AllocSteadyState, WarmJsqCycleOverSampledBoardAllocatesNothing) {
+  expect_warm_jsq_cycle_allocates_nothing(core::LoadModelKind::Sampled);
+}
+
+TEST(AllocSteadyState, WarmJsqCycleOverExactBoardAllocatesNothing) {
+  expect_warm_jsq_cycle_allocates_nothing(core::LoadModelKind::Exact);
 }
 
 TEST(AllocSteadyState, CounterSeesAllocations) {

@@ -124,6 +124,30 @@ TEST(LoadModel, StaleServesThePreviousSnapshot) {
   EXPECT_DOUBLE_EQ(model.load(0, 4.5).queued_pex, 3.0);
 }
 
+TEST(LoadModel, SnapshotsFollowABoardThatGrowsBetweenRefreshes) {
+  // The board may grow after a view is attached; each refresh captures
+  // every account it has then (no write past the snapshot's end).
+  for (const auto serve : {core::SnapshotLoadModel::Serve::Latest,
+                           core::SnapshotLoadModel::Serve::Previous}) {
+    core::LoadBoard board(2);
+    core::SnapshotLoadModel model(board, /*period=*/1.0, serve);
+    model.refresh(1.0);
+    board.resize(130);  // three shards
+    board[129].configure(5.0, 1.0);
+    board[129].add_backlog(4.0);
+    model.refresh(2.0);
+    const bool latest = serve == core::SnapshotLoadModel::Serve::Latest;
+    EXPECT_DOUBLE_EQ(model.load(129, 2.5).queued_pex, latest ? 4.0 : 0.0);
+    model.refresh(3.0);
+    EXPECT_DOUBLE_EQ(model.load(129, 3.5).queued_pex, 4.0);
+    // Shrinking lowers the captured size; the dropped nodes read as idle.
+    board.resize(64);
+    model.refresh(4.0);
+    model.refresh(5.0);
+    EXPECT_DOUBLE_EQ(model.load(129, 5.5).queued_pex, 0.0);
+  }
+}
+
 TEST(LoadModelSpec, ParseRoundTripsAndRejectsJunk) {
   EXPECT_EQ(core::LoadModelSpec::parse("none").kind,
             core::LoadModelKind::None);

@@ -69,15 +69,31 @@ TEST(CommittedExpectations, CoverTheCurrentGridsWithMatchingHashes) {
 }
 
 TEST(CommittedExpectations, SampledPointsReproduceBitwiseFromTheirSeeds) {
-  // One mid-grid point per figure manifest (kept small: this simulates).
-  const std::pair<const char*, std::size_t> samples[] = {
-      {"fig2_ssp", 7}, {"fig3_frac_local", 5}, {"fig4_psp", 13}};
-  for (const auto& [name, index] : samples) {
+  // One mid-grid point per figure manifest, plus jsq-pex placement over a
+  // sampled and a stale load view and under crash faults (kept small: this
+  // simulates). The labels pin which point each index names, so a grid
+  // reorder fails here instead of silently sampling another point.
+  struct Sample {
+    const char* manifest;
+    std::size_t index;
+    std::vector<std::string> labels;
+  };
+  const Sample samples[] = {
+      {"fig2_ssp", 7, {"0.2", "EQF"}},
+      {"fig3_frac_local", 5, {"0.5", "EQF"}},
+      {"fig4_psp", 13, {"0.4", "DIV1"}},
+      {"abl_stale_decay", 3, {"sampled:5", "jsq-pex"}},
+      {"abl_stale_decay", 7, {"stale:20", "jsq-pex"}},
+      {"abl_faults", 3, {"crash:500,25;retry:2", "jsq-pex"}},
+  };
+  for (const auto& [name, index, labels] : samples) {
     SCOPED_TRACE(std::string(name) + " index " + std::to_string(index));
     const xp::Manifest& manifest = xp::find_manifest(name);
     const xp::Expectations expectations = xp::load_expectations(
         xp::expectations_path(name, expectations_dir()));
     ASSERT_LT(index, expectations.values.size());
+    ASSERT_EQ(expectations.values[index].labels, labels);
+    ASSERT_EQ(manifest.expand()[index].labels, labels);
 
     const xp::PointRecord replay =
         xp::reproduce_point(manifest, index, /*jobs=*/2);
