@@ -12,7 +12,8 @@ namespace dsrt::sched {
 using JobId = std::uint64_t;
 
 /// The unit of work a node schedules: a local task or one simple subtask of
-/// a global task. Jobs are value types; the node copies them into its queue.
+/// a global task. Jobs are value types: a waiting job is moved into a
+/// `JobPool` slot, and the node's ready queue holds only its handle.
 struct Job {
   JobId id = 0;
   core::TaskClass cls = core::TaskClass::Local;

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "dsrt/core/load_model.hpp"
 #include "dsrt/sched/abort_policy.hpp"
 #include "dsrt/sched/job.hpp"
+#include "dsrt/sched/job_pool.hpp"
 #include "dsrt/sched/policy.hpp"
 #include "dsrt/sim/simulator.hpp"
 #include "dsrt/stats/time_weighted.hpp"
@@ -45,7 +48,15 @@ class Node {
 
   /// The node schedules work on `sim`; `policy` orders the ready queue;
   /// `abort_policy` screens jobs at dispatch. All pointers must be non-null.
+  /// A node built this way parks its waiting jobs in a pool of its own.
   Node(core::NodeId id, sim::Simulator& sim, PolicyPtr policy,
+       AbortPolicyPtr abort_policy,
+       PreemptionMode preemption = PreemptionMode::NonPreemptive);
+
+  /// As above, but waiting jobs are parked in `pool`, which may be shared
+  /// by any number of nodes (a simulation run shares one across all of
+  /// them) and must outlive the node.
+  Node(core::NodeId id, sim::Simulator& sim, JobPool& pool, PolicyPtr policy,
        AbortPolicyPtr abort_policy,
        PreemptionMode preemption = PreemptionMode::NonPreemptive);
 
@@ -115,11 +126,13 @@ class Node {
   void reset_observation(sim::Time now);
 
   /// Raises the ready-queue capacity reserve (never shrinks). The
-  /// simulation sizes this from the run's scale so big-k configs keep the
-  /// zero-steady-state-allocation contract without growth in the
-  /// measured window.
+  /// simulation sizes this with `ready_reserve_for_scale` so big-k configs
+  /// keep the zero-steady-state-allocation contract without growth in the
+  /// measured window. A node that owns its pool reserves as many job slots
+  /// too; a shared pool is sized by its owner.
   void reserve_ready(std::size_t depth) {
     if (depth > queue_.capacity()) queue_.reserve(depth);
+    if (own_pool_) own_pool_->reserve(depth);
   }
 
   /// Attaches the node's load-accounting slot (nullptr detaches). The
@@ -130,24 +143,34 @@ class Node {
   void attach_load_account(core::LoadAccount* account) { load_ = account; }
 
  private:
+  /// Dispatch key: (class rank, policy key, submission sequence), with
+  /// the rank (0 = Elevated, 1 = Normal) in the top bit of `rank_seq` and
+  /// the node's submission sequence below it.
+  struct QueueKey {
+    double policy_key = 0;
+    std::uint64_t rank_seq = 0;
+  };
+
   struct QueueOrder {
-    bool operator()(const std::pair<std::pair<int, double>, std::uint64_t>& a,
-                    const std::pair<std::pair<int, double>, std::uint64_t>& b)
-        const {
-      if (a.first.first != b.first.first) return a.first.first < b.first.first;
-      if (a.first.second != b.first.second)
-        return a.first.second < b.first.second;
-      return a.second < b.second;  // FIFO tie-break by submission sequence
+    bool operator()(const QueueKey& a, const QueueKey& b) const {
+      // Ranks differ: the top bit decides, so the whole word does.
+      if ((a.rank_seq ^ b.rank_seq) >> 63) return a.rank_seq < b.rank_seq;
+      if (a.policy_key != b.policy_key) return a.policy_key < b.policy_key;
+      return a.rank_seq < b.rank_seq;  // FIFO tie-break by sequence
     }
   };
 
-  using QueueKey = std::pair<std::pair<int, double>, std::uint64_t>;
-
-  /// One waiting job with its precomputed dispatch key.
+  /// One waiting job: its dispatch key and its handle in the pool.
   struct ReadyEntry {
-    QueueKey key{};
-    Job job{};
+    QueueKey key;
+    JobPool::Handle job;
   };
+  static_assert(sizeof(ReadyEntry) == 24, "ready entries must stay compact");
+
+  /// Delegation target of both public constructors.
+  Node(core::NodeId id, sim::Simulator& sim, JobPool* shared,
+       std::unique_ptr<JobPool> owned, PolicyPtr policy,
+       AbortPolicyPtr abort_policy, PreemptionMode preemption);
 
   /// Routes a disposal to the delegate (preferred) or the handler.
   void dispose(const Job& job, JobOutcome outcome);
@@ -176,12 +199,16 @@ class Node {
   CompletionDelegate delegate_ = nullptr;  ///< preferred over handler_
   void* delegate_ctx_ = nullptr;
 
-  // Ready queue: implicit binary min-heap over a flat vector, ordered by
-  // (class rank, policy key, arrival sequence). The arrival sequence makes
-  // every key unique, so the heap's pop order is a deterministic total
-  // order — identical to the former `std::map` iteration order — while
-  // enqueue/dispatch stay allocation-free in steady state (the vector is
-  // reserved up front and grows only at new high-water marks).
+  // Ready queue: implicit binary min-heap over a flat vector of 24-byte
+  // entries (packed key + pool handle), ordered by (class rank, policy
+  // key, arrival sequence). The arrival sequence makes every key unique,
+  // so the heap's pop order is a deterministic total order — identical to
+  // the former `std::map` iteration order. The jobs themselves wait in
+  // `*pool_`, which is either the run-wide pool or `own_pool_`. Enqueue and
+  // dispatch stay allocation-free in steady state: the heap is reserved up
+  // front, and heap and pool grow only at new high-water marks.
+  std::unique_ptr<JobPool> own_pool_;  ///< null when the pool is shared
+  JobPool* pool_;                      ///< never null
   std::vector<ReadyEntry> queue_;
   std::optional<Job> in_service_;
   QueueKey in_service_key_{};
@@ -200,5 +227,14 @@ class Node {
   std::uint64_t preemptions_ = 0;
   std::size_t max_queue_ = 0;  ///< ready-queue high-water mark
 };
+
+/// Per-node ready-queue reserve for a system of `total_nodes` nodes. The
+/// waiting depth at a node scales with load and parallel fan-in, not with
+/// k; the bump at big configs absorbs transient parallel-group bursts
+/// without growth in a measured window. At 24 bytes per entry, 128 entries
+/// cost 3 KB per node.
+inline std::size_t ready_reserve_for_scale(std::size_t total_nodes) {
+  return total_nodes >= 1024 ? 128 : 64;
+}
 
 }  // namespace dsrt::sched

@@ -84,6 +84,9 @@ class SimulationRun {
   Config cfg_;
   sim::Simulator sim_;
   RunMetrics metrics_;
+  /// The jobs waiting in every node's ready queue; declared before the
+  /// nodes, so it outlives them.
+  sched::JobPool job_pool_;
   std::vector<std::unique_ptr<sched::Node>> nodes_;
   /// One accounting slot per node (compute + link), sharded in cache-line-
   /// aligned blocks; shards never move, so the raw pointers the nodes

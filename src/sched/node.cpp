@@ -7,20 +7,37 @@ namespace dsrt::sched {
 
 namespace {
 
-int class_rank(core::PriorityClass priority) {
-  // Elevated (Globals First) jobs always dispatch before Normal jobs.
-  return priority == core::PriorityClass::Elevated ? 0 : 1;
+constexpr std::uint64_t kNormalRank = std::uint64_t{1} << 63;
+
+/// Class rank in the top bit of a key's `rank_seq`: Elevated (Globals
+/// First) jobs always dispatch before Normal jobs.
+std::uint64_t rank_bit(core::PriorityClass priority) {
+  return priority == core::PriorityClass::Elevated ? 0 : kNormalRank;
 }
 
 }  // namespace
 
 Node::Node(core::NodeId id, sim::Simulator& sim, PolicyPtr policy,
            AbortPolicyPtr abort_policy, PreemptionMode preemption)
+    : Node(id, sim, nullptr, std::make_unique<JobPool>(), std::move(policy),
+           std::move(abort_policy), preemption) {}
+
+Node::Node(core::NodeId id, sim::Simulator& sim, JobPool& pool,
+           PolicyPtr policy, AbortPolicyPtr abort_policy,
+           PreemptionMode preemption)
+    : Node(id, sim, &pool, nullptr, std::move(policy), std::move(abort_policy),
+           preemption) {}
+
+Node::Node(core::NodeId id, sim::Simulator& sim, JobPool* shared,
+           std::unique_ptr<JobPool> owned, PolicyPtr policy,
+           AbortPolicyPtr abort_policy, PreemptionMode preemption)
     : id_(id),
       sim_(sim),
       policy_(std::move(policy)),
       abort_policy_(std::move(abort_policy)),
       preemption_(preemption),
+      own_pool_(std::move(owned)),
+      pool_(shared ? shared : own_pool_.get()),
       busy_signal_(sim.now(), 0),
       queue_signal_(sim.now(), 0) {
   if (!policy_) throw std::invalid_argument("Node: null policy");
@@ -28,7 +45,6 @@ Node::Node(core::NodeId id, sim::Simulator& sim, PolicyPtr policy,
   policy_is_edf_ =
       dynamic_cast<const EarliestDeadlineFirst*>(policy_.get()) != nullptr;
   abort_is_none_ = dynamic_cast<const NoAbort*>(abort_policy_.get()) != nullptr;
-  queue_.reserve(64);
 }
 
 void Node::set_completion_handler(CompletionHandler handler) {
@@ -45,7 +61,7 @@ void Node::dispose(const Job& job, JobOutcome outcome) {
 
 Node::QueueKey Node::key_for(const Job& job) {
   const double key = policy_is_edf_ ? job.deadline : policy_->key(job);
-  return {{class_rank(job.priority), key}, arrival_seq_++};
+  return {key, rank_bit(job.priority) | arrival_seq_++};
 }
 
 void Node::submit(Job job) {
@@ -97,24 +113,24 @@ void Node::submit(Job job) {
 void Node::enqueue(Job job, QueueKey key) {
   // Sift up with a hole: parents shift down until the insertion slot is
   // found, so the new entry is materialized exactly once.
+  const JobPool::Handle handle = pool_->put(std::move(job));
   std::size_t i = queue_.size();
   queue_.emplace_back();
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
     if (!QueueOrder{}(key, queue_[parent].key)) break;
-    queue_[i] = std::move(queue_[parent]);
+    queue_[i] = queue_[parent];
     i = parent;
   }
-  queue_[i].key = key;
-  queue_[i].job = std::move(job);
+  queue_[i] = {key, handle};
   if (queue_.size() > max_queue_) max_queue_ = queue_.size();
   queue_signal_.update(sim_.now(), static_cast<double>(queue_.size()));
   if (load_) load_->set_queue_length(queue_.size());
 }
 
 Node::ReadyEntry Node::pop_ready() {
-  ReadyEntry top = std::move(queue_.front());
-  ReadyEntry last = std::move(queue_.back());
+  const ReadyEntry top = queue_.front();
+  const ReadyEntry last = queue_.back();
   queue_.pop_back();
   const std::size_t n = queue_.size();
   if (n > 0) {
@@ -128,10 +144,10 @@ Node::ReadyEntry Node::pop_ready() {
           QueueOrder{}(queue_[child + 1].key, queue_[child].key))
         ++child;
       if (!QueueOrder{}(queue_[child].key, last.key)) break;
-      queue_[i] = std::move(queue_[child]);
+      queue_[i] = queue_[child];
       i = child;
     }
-    queue_[i] = std::move(last);
+    queue_[i] = last;
   }
   return top;
 }
@@ -164,9 +180,8 @@ void Node::on_service_complete(std::uint64_t service_token) {
 
 void Node::dispatch_next() {
   while (!in_service_ && !queue_.empty()) {
-    ReadyEntry entry = pop_ready();
-    const QueueKey key = entry.key;
-    Job job = std::move(entry.job);
+    const ReadyEntry entry = pop_ready();
+    Job job = pool_->take(entry.job);
     queue_signal_.update(sim_.now(), static_cast<double>(queue_.size()));
     if (load_) load_->set_queue_length(queue_.size());
     if (!abort_is_none_ && abort_policy_->should_abort(job, sim_.now())) {
@@ -175,7 +190,7 @@ void Node::dispatch_next() {
       dispose(job, JobOutcome::Aborted);
       continue;  // keep draining until a servable job is found
     }
-    start_service(std::move(job), key);
+    start_service(std::move(job), entry.key);
   }
   if (!in_service_) {
     busy_signal_.update(sim_.now(), 0);
@@ -201,7 +216,7 @@ void Node::fail(sim::Time now) {
   // Drain the ready queue in dispatch order so the disposal sequence — and
   // everything downstream of it (retry placement draws) — is deterministic.
   while (!queue_.empty()) {
-    Job victim = std::move(pop_ready().job);
+    Job victim = pool_->take(pop_ready().job);
     ++failed_;
     if (load_) load_->remove_backlog(victim.pex);
     dispose(victim, JobOutcome::Failed);

@@ -45,15 +45,15 @@ SimulationRun::SimulationRun(const Config& config, std::uint64_t replication)
   // applies from the first push).
   sim_.configure_queue(cfg_.event_queue, 2 * total_nodes + 64);
 
+  // Every node parks its waiting jobs in the run's one pool; each keeps
+  // only a heap of 24-byte entries, reserved once here.
   nodes_.reserve(total_nodes);
+  const std::size_t ready_reserve = sched::ready_reserve_for_scale(total_nodes);
   for (std::size_t i = 0; i < total_nodes; ++i) {
     nodes_.push_back(std::make_unique<sched::Node>(
-        static_cast<core::NodeId>(i), sim_, cfg_.policy, cfg_.abort_policy,
-        cfg_.preemption));
-    // Per-node ready depth scales with load and parallel fan-in, not with
-    // k; the bump at big configs absorbs transient parallel-group bursts
-    // without growth in the measured window.
-    nodes_.back()->reserve_ready(total_nodes >= 1024 ? 128 : 64);
+        static_cast<core::NodeId>(i), sim_, job_pool_, cfg_.policy,
+        cfg_.abort_policy, cfg_.preemption));
+    nodes_.back()->reserve_ready(ready_reserve);
   }
 
   // Load accounting + model (extension; Config::load_model). The board is

@@ -33,6 +33,7 @@
 #include "dsrt/system/baseline.hpp"
 #include "dsrt/system/metrics.hpp"
 #include "dsrt/system/process_manager.hpp"
+#include "dsrt/system/simulation.hpp"
 #include "dsrt/workload/generator.hpp"
 #include "support/alloc_counter.hpp"
 #include "support/spec.hpp"
@@ -48,6 +49,7 @@ struct Fig2System {
   static constexpr sim::Time kHorizon = 50000.0;
 
   sim::Simulator sim;
+  sched::JobPool pool;  ///< shared by every node, as in SimulationRun
   std::vector<std::unique_ptr<sched::Node>> nodes;
   system::RunMetrics metrics;
   std::unique_ptr<system::ProcessManager> pm;
@@ -58,8 +60,9 @@ struct Fig2System {
     const system::Config cfg = system::baseline_ssp();
     for (std::size_t i = 0; i < cfg.nodes; ++i) {
       nodes.push_back(std::make_unique<sched::Node>(
-          static_cast<core::NodeId>(i), sim, cfg.policy, cfg.abort_policy,
-          cfg.preemption));
+          static_cast<core::NodeId>(i), sim, pool, cfg.policy,
+          cfg.abort_policy, cfg.preemption));
+      nodes.back()->reserve_ready(sched::ready_reserve_for_scale(cfg.nodes));
     }
     pm = std::make_unique<system::ProcessManager>(sim, nodes, cfg.ssp,
                                                   cfg.psp, metrics);
@@ -198,6 +201,7 @@ struct PlacedSystem {
 
   Options opt;
   sim::Simulator sim;
+  sched::JobPool pool;  ///< shared by every node, as in SimulationRun
   std::vector<std::unique_ptr<sched::Node>> nodes;
   core::LoadBoard board;
   std::unique_ptr<core::LoadModel> model;
@@ -225,9 +229,9 @@ struct PlacedSystem {
     }
     for (std::size_t i = 0; i < opt.nodes; ++i) {
       nodes.push_back(std::make_unique<sched::Node>(
-          static_cast<core::NodeId>(i), sim, cfg.policy, cfg.abort_policy,
-          cfg.preemption));
-      nodes.back()->reserve_ready(opt.nodes >= 1024 ? 128 : 64);
+          static_cast<core::NodeId>(i), sim, pool, cfg.policy,
+          cfg.abort_policy, cfg.preemption));
+      nodes.back()->reserve_ready(sched::ready_reserve_for_scale(opt.nodes));
       board[i].configure(cfg.load_model.ewma_tau, sim.now());
       nodes.back()->attach_load_account(&board[i]);
     }
@@ -354,6 +358,33 @@ TEST(AllocSteadyState, WarmJsqCycleOverSampledBoardAllocatesNothing) {
 
 TEST(AllocSteadyState, WarmJsqCycleOverExactBoardAllocatesNothing) {
   expect_warm_jsq_cycle_allocates_nothing(core::LoadModelKind::Exact);
+}
+
+TEST(AllocSteadyState, BigConfigConstructionFootprintIsBounded) {
+  // Building a k=4096 pod:2 run over the exact board reserves each node one
+  // heap of 24-byte ready entries (jobs wait in the run's shared pool) and
+  // makes every reservation once. A per-node reserve of whole jobs costs
+  // ~59 MB here, and a reserve made twice frees a block per node.
+  system::Config cfg = system::baseline_ssp();
+  cfg.nodes = 4096;
+  cfg.load = 0.5;
+  cfg.placement = core::PlacementSpec::parse("pod:2");
+  cfg.load_model = core::LoadModelSpec::parse("exact");
+  cfg.horizon = 240;
+
+  const std::uint64_t bytes_before = dsrt::testing::allocated_bytes();
+  const std::uint64_t frees_before = dsrt::testing::deallocation_count();
+  auto run = std::make_unique<system::SimulationRun>(cfg);
+  const std::uint64_t bytes =
+      dsrt::testing::allocated_bytes() - bytes_before;
+  const std::uint64_t frees =
+      dsrt::testing::deallocation_count() - frees_before;
+
+  ASSERT_EQ(run->nodes().size(), 4096u);
+  EXPECT_LE(bytes, 24u << 20) << "k=4096 construction requested " << bytes
+                              << " bytes";
+  EXPECT_LT(frees, 64u) << "k=4096 construction freed " << frees
+                        << " heap blocks";
 }
 
 TEST(AllocSteadyState, CounterSeesAllocations) {
