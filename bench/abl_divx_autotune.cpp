@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   const dsrt::util::Flags flags(argc, argv);
   bench::RunControl rc = bench::parse_run_control(flags);
-  if (!flags.has("horizon") && !flags.has("quick")) rc.horizon = 2e5;
+  if (!flags.has("horizon")) rc.horizon = 2e5;
 
   bench::banner("abl_divx_autotune",
                 "Section 5.3 open question: choosing x (bisection on the "
@@ -38,6 +38,6 @@ int main(int argc, char** argv) {
                      std::to_string(t.evaluations)});
     }
   }
-  bench::emit(table, rc);
+  bench::emit(table);
   return 0;
 }

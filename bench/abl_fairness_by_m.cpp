@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   const dsrt::util::Flags flags(argc, argv);
   bench::RunControl rc = bench::parse_run_control(flags);
-  if (!flags.has("horizon") && !flags.has("quick")) rc.horizon = 4e5;
+  if (!flags.has("horizon")) rc.horizon = 4e5;
 
   bench::banner("abl_fairness_by_m",
                 "Section 7: DIV-x evens up miss rates across task widths",
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     for (double v : values) row.push_back(dsrt::stats::Table::percent(v, 1));
     if (row.size() == headers.size()) table.add_row(std::move(row));
   }
-  bench::emit(table, rc);
+  bench::emit(table);
   std::printf("expect: UD's column rises steeply with m; DIV-x columns stay "
               "much flatter.\n");
   return 0;

@@ -20,6 +20,9 @@
 // Per-point cost stays roughly flat: scaled_node_config shrinks the
 // horizon ∝ 1/k (constant event budget), so the full grid is CI-sized.
 //
+// Flags: the run control of bench_common.hpp, plus --kmax=<k> (largest k
+// swept) and --quick (horizon 1e5: the CI-sized grid).
+//
 // Artifact: BENCH_scale.json with one events/second entry per
 // (k, placement, queue) cell plus rss_kb/* gauges (items = resident KB).
 // The deterministic slice of this sweep (k x placement, adaptive queue)
@@ -64,7 +67,8 @@ struct PlacementCase {
 
 int main(int argc, char** argv) {
   const dsrt::util::Flags flags(argc, argv);
-  const bench::RunControl rc = bench::parse_run_control(flags);
+  bench::RunControl rc = bench::parse_run_control(flags, {"kmax", "quick"});
+  if (flags.has("quick")) rc.horizon = 1e5;  // the CI-sized grid
   const auto kmax =
       static_cast<std::size_t>(flags.get("kmax", 4096L));
 
@@ -115,12 +119,12 @@ int main(int argc, char** argv) {
                        dsrt::stats::Table::cell(
                            wall > 0 ? events / wall / 1e6 : 0.0, 2),
                        dsrt::stats::Table::cell(rss / 1024.0, 1),
-                       bench::pct(result.md_local),
-                       bench::pct(result.md_global)});
+                       dsrt::engine::percent_ci(result.md_local),
+                       dsrt::engine::percent_ci(result.md_global)});
       }
     }
   }
-  bench::emit(table, rc);
+  bench::emit(table);
   try {
     const std::string path =
         dsrt::engine::write_microbench_artifact("scale", entries, rc.out_dir);

@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   const dsrt::util::Flags flags(argc, argv);
   bench::RunControl rc = bench::parse_run_control(flags);
-  if (!flags.has("horizon") && !flags.has("quick")) rc.horizon = 2e5;
+  if (!flags.has("horizon")) rc.horizon = 2e5;
 
   bench::banner("analysis_slack_profile",
                 "Section 4.2 mechanism: per-stage slack consumption under "
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                      dsrt::stats::Table::percent(st.virtual_miss.value(), 1)});
     }
     std::printf("ssp = %s\n", name);
-    bench::emit(table, rc);
+    bench::emit(table);
   }
   std::printf(
       "expect: UD waits concentrated in early stages (big windows, low\n"

@@ -5,24 +5,24 @@
 #include <iostream>
 
 #include "dsrt/system/baseline.hpp"
-#include "dsrt/system/cli.hpp"
 
 namespace bench {
 
-RunControl parse_run_control(const dsrt::util::Flags& flags) {
+RunControl parse_run_control(const dsrt::util::Flags& flags,
+                             const std::vector<std::string>& extra) {
   RunControl rc;
   try {
-    rc.horizon = flags.get("horizon", 1e6);
-    if (flags.get("quick", false)) rc.horizon = 1e5;
-    rc.seed = static_cast<std::uint64_t>(flags.get("seed", 20250612L));
-    rc.csv = flags.get("csv", false);
-    const dsrt::system::RunOptions opts =
-        dsrt::system::run_options_from_flags(flags);
-    rc.reps = opts.reps;
-    rc.jobs = opts.jobs;
-    rc.emit_csv = opts.emit_csv;
-    rc.emit_json = opts.emit_json;
-    rc.out_dir = opts.out_dir;
+    std::vector<std::string> accepted = {"horizon", "reps", "seed", "out"};
+    accepted.insert(accepted.end(), extra.begin(), extra.end());
+    flags.require_known(accepted);
+    rc.horizon = flags.get("horizon", rc.horizon);
+    const long reps = flags.get("reps", static_cast<long>(rc.reps));
+    if (reps < 1) throw std::invalid_argument("--reps must be >= 1");
+    rc.reps = static_cast<std::size_t>(reps);
+    const long seed = flags.get("seed", static_cast<long>(rc.seed));
+    if (seed < 0) throw std::invalid_argument("--seed must be >= 0");
+    rc.seed = static_cast<std::uint64_t>(seed);
+    rc.out_dir = flags.get("out", rc.out_dir);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "bad flags: %s\n", error.what());
     std::exit(1);
@@ -43,51 +43,6 @@ dsrt::system::Config scaled_node_config(std::size_t k, const RunControl& rc) {
   return cfg;
 }
 
-dsrt::engine::Runner runner(const RunControl& rc) {
-  dsrt::engine::RunnerOptions options;
-  options.jobs = rc.jobs;
-  return dsrt::engine::Runner(options);
-}
-
-dsrt::engine::SweepResult run_sweep(const std::string& name,
-                                    const dsrt::engine::SweepGrid& grid,
-                                    dsrt::system::Config base,
-                                    const RunControl& rc) {
-  // Fail a typo'd --out in milliseconds, not after the whole sweep.
-  try {
-    dsrt::engine::ensure_writable_dir(rc.out_dir);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), error.what());
-    std::exit(1);
-  }
-  apply(rc, base);
-  dsrt::engine::SweepResult sweep;
-  try {
-    sweep = runner(rc).run_sweep(grid, base, rc.reps);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), error.what());
-    std::exit(1);
-  }
-  // Emission failures (disk full, dir removed mid-run) must not discard
-  // the computed results: warn and let the driver print its tables.
-  try {
-    const std::string artifact =
-        dsrt::engine::write_bench_artifact(name, sweep, rc.out_dir);
-    std::printf("[%s] %zu points x %zu reps on %zu job(s): %.2fs "
-                "(%.2f runs/s) -> %s\n",
-                name.c_str(), sweep.points.size(), sweep.replications,
-                sweep.jobs, sweep.wall_seconds, sweep.runs_per_second(),
-                artifact.c_str());
-    for (const std::string& path : dsrt::engine::write_sweep_files(
-             name, sweep, rc.emit_csv, rc.emit_json, rc.out_dir))
-      std::printf("wrote %s\n", path.c_str());
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s: emit failed: %s\n", name.c_str(),
-                 error.what());
-  }
-  return sweep;
-}
-
 void banner(const std::string& experiment, const std::string& paper_artifact,
             const std::string& notes) {
   std::printf("== %s ==\n", experiment.c_str());
@@ -96,18 +51,9 @@ void banner(const std::string& experiment, const std::string& paper_artifact,
   std::printf("\n");
 }
 
-void emit(const dsrt::stats::Table& table, const RunControl& rc) {
+void emit(const dsrt::stats::Table& table) {
   table.print(std::cout);
-  if (rc.csv) {
-    std::printf("\n-- csv --\n");
-    table.print_csv(std::cout);
-  }
   std::printf("\n");
-}
-
-std::string pct(const dsrt::stats::Estimate& e) {
-  return dsrt::stats::Table::percent(e.mean, 1) + " +- " +
-         dsrt::stats::Table::percent(e.half_width, 1);
 }
 
 }  // namespace bench

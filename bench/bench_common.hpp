@@ -1,35 +1,25 @@
 #pragma once
 
-// Shared helpers for the experiment benches (one binary per paper
-// table/figure; see DESIGN.md section 3).
+// Shared helpers for the bench programs that are not configuration grids:
+// a Table-1 printout, the DIV-x autotuner, two observer-driven analyses and
+// the wall-time/RSS scale A/B. Every grid experiment (the paper figures and
+// the ablations) is a manifest printed by `sweep_cli table <manifest>`.
 //
-// Common flags understood by every bench:
+// Run-control flags understood by every bench here:
 //   --horizon=<t>   simulated time units per replication (default 1e6,
-//                   the paper's run length)
+//                   the paper's run length; some benches pick their own)
 //   --reps=<n>      independent replications per data point (default 2,
 //                   as in the paper)
 //   --seed=<s>      base seed
-//   --jobs=<n>      worker threads for the engine runner (default 1;
-//                   0 = all hardware threads). Results are identical for
-//                   every value — only wall time changes.
-//   --quick         shorthand for --horizon=100000 (fast shape check)
-//   --csv           also emit CSV after the aligned table
-//   --emit=json,csv structured outputs (sweep-based benches)
-//   --out=<dir>     where artifacts (CSV/JSON, BENCH_*.json) are written
-//
-// Sweep-based benches (run_sweep below) additionally write a
-// BENCH_<name>.json perf artifact — wall time, point count, reps/sec —
-// so successive PRs have a machine-readable perf trajectory.
+//   --out=<dir>     where artifacts (BENCH_*.json) are written
+// Any other flag is an error unless the bench names it as its own.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "dsrt/engine/emit.hpp"
-#include "dsrt/engine/runner.hpp"
-#include "dsrt/engine/sweep.hpp"
 #include "dsrt/stats/report.hpp"
 #include "dsrt/system/config.hpp"
-#include "dsrt/system/experiment.hpp"
 #include "dsrt/util/flags.hpp"
 
 namespace bench {
@@ -39,17 +29,14 @@ struct RunControl {
   double horizon = 1e6;
   std::size_t reps = 2;
   std::uint64_t seed = 20250612;
-  std::size_t jobs = 1;
-  bool csv = false;        ///< --csv: also print CSV to stdout (legacy)
-  bool emit_csv = false;   ///< --emit=csv: write <name>.csv file
-  bool emit_json = false;  ///< --emit=json: write <name>.json file
   std::string out_dir = ".";
 };
 
-/// Parses the common flags (see header comment). Reports bad values (e.g.
-/// an unknown --emit kind) on stderr and exits(1) rather than throwing
-/// through the bench mains.
-RunControl parse_run_control(const dsrt::util::Flags& flags);
+/// Parses the common flags (see header comment), accepting `extra` flags
+/// the bench reads itself. Reports a bad or unknown flag on stderr and
+/// exits(1) rather than throwing through the bench mains.
+RunControl parse_run_control(const dsrt::util::Flags& flags,
+                             const std::vector<std::string>& extra = {});
 
 /// Applies run control to a config.
 void apply(const RunControl& rc, dsrt::system::Config& cfg);
@@ -58,33 +45,16 @@ void apply(const RunControl& rc, dsrt::system::Config& cfg);
 /// (run control applied). Past the paper's largest figure (k=24) the
 /// horizon shrinks proportionally to 1/k, so the total event budget — and
 /// the wall time of a data point — stays roughly flat while the pending
-/// event set grows with k. Shared by abl_node_count and abl_scale so both
-/// sweeps measure the same shape.
+/// event set grows with k (the abl_node_count manifest scales the same
+/// way).
 dsrt::system::Config scaled_node_config(std::size_t k, const RunControl& rc);
-
-/// Engine runner configured from run control (--jobs).
-dsrt::engine::Runner runner(const RunControl& rc);
-
-/// Executes `grid` over `base` (with run control applied) on the engine
-/// thread pool. Always writes the BENCH_<name>.json perf artifact; with
-/// --emit=csv/json also writes <name>.csv / <name>.json (long-format, one
-/// record per grid point) under rc.out_dir. The caller renders the
-/// figure-shaped tables from the returned SweepResult (see
-/// engine::pivot_table).
-dsrt::engine::SweepResult run_sweep(const std::string& name,
-                                    const dsrt::engine::SweepGrid& grid,
-                                    dsrt::system::Config base,
-                                    const RunControl& rc);
 
 /// Prints the bench banner: experiment id, what the paper shows, and the
 /// configuration being swept.
 void banner(const std::string& experiment, const std::string& paper_artifact,
             const std::string& notes);
 
-/// Prints the table (and CSV when requested).
-void emit(const dsrt::stats::Table& table, const RunControl& rc);
-
-/// Formats an Estimate as "12.3 +- 0.4" in percent.
-std::string pct(const dsrt::stats::Estimate& e);
+/// Prints the table followed by a blank line.
+void emit(const dsrt::stats::Table& table);
 
 }  // namespace bench

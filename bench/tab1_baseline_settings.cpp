@@ -8,7 +8,12 @@
 
 int main(int argc, char** argv) {
   const dsrt::util::Flags flags(argc, argv);
-  const bench::RunControl rc = bench::parse_run_control(flags);
+  try {
+    flags.require_known({});  // prints the live config; nothing to run
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bad flags: %s\n", error.what());
+    return 1;
+  }
 
   bench::banner("tab1_baseline_settings", "Table 1: baseline setting", "");
 
@@ -28,7 +33,7 @@ int main(int argc, char** argv) {
   table.add_row({"[Smin, Smax]", cfg.local_slack->describe()});
   table.add_row({"rel_flex", dsrt::stats::Table::cell(cfg.rel_flex, 1)});
   table.add_row({"pex(X)/ex(X)", std::string(cfg.pex_error->name())});
-  bench::emit(table, rc);
+  bench::emit(table);
 
   dsrt::stats::Table derived({"derived quantity", "value"});
   derived.add_row({"lambda_local (total, all nodes)",
@@ -40,6 +45,6 @@ int main(int argc, char** argv) {
   derived.add_row({"global slack distribution",
                    cfg.global_slack()->describe()});
   std::printf("derived from the Section 4.1 load equations:\n");
-  bench::emit(derived, rc);
+  bench::emit(derived);
   return 0;
 }

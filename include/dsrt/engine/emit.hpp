@@ -22,10 +22,16 @@ stats::Table sweep_table(const SweepResult& sweep);
 /// CSV with numeric columns (means and half-widths separated) for plotting.
 void write_sweep_csv(const SweepResult& sweep, std::ostream& os);
 
-/// Pivot of a two-axis cartesian sweep into the layout the paper figures
-/// use: one row per first-axis value, one column per second-axis value,
-/// cell text produced by `cell` from that point's result. Throws
-/// std::invalid_argument unless the sweep has exactly two axes.
+/// Formats an estimate of a ratio as "12.3 +- 0.4" in percent: the cell
+/// text of every miss-ratio table.
+std::string percent_ci(const stats::Estimate& e);
+
+/// Pivot of a cartesian sweep into the layout the paper figures use: one
+/// column per value of the last axis, one row per combination of the other
+/// axes (row-major, the last of them fastest) headed by their labels, cell
+/// text produced by `cell` from that point's result. A one-axis sweep gives
+/// a single row. Throws std::invalid_argument for a sweep without axes or
+/// one that does not cover its full cartesian grid (a zipped sweep).
 stats::Table pivot_table(
     const SweepResult& sweep,
     const std::function<std::string(const PointResult&)>& cell);
@@ -79,7 +85,7 @@ void ensure_writable_dir(const std::string& out_dir);
 /// Writes the long-format `<name>.csv` / `<name>.json` files under
 /// `out_dir` as requested and returns the paths written (possibly empty).
 /// Throws std::runtime_error when a file cannot be opened — shared by
-/// sim_cli and the bench drivers.
+/// sim_cli and `sweep_cli table`.
 std::vector<std::string> write_sweep_files(const std::string& name,
                                            const SweepResult& sweep,
                                            bool csv, bool json,

@@ -11,8 +11,9 @@
 namespace dsrt::engine {
 
 /// One sweep dimension: a column name plus a list of (label, config
-/// mutator) values. Axes are declarative so the ~20 bench drivers share
-/// one expansion/execution path instead of hand-rolled nested loops.
+/// mutator) values. Axes are declarative so every xp manifest and
+/// sim_cli's --sweep_<field> axes share one expansion/execution path
+/// instead of hand-rolled nested loops.
 struct SweepAxis {
   std::string name;
   std::vector<std::string> labels;

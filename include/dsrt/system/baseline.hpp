@@ -19,8 +19,12 @@ Config baseline_psp();
 
 /// Section 6 baseline for serial-parallel tasks: a serial chain of 3 stages
 /// where each stage is, with probability 1/2, a parallel group of 3
-/// subtasks on distinct nodes. (The paper does not pin this shape down; see
-/// DESIGN.md for the substitution rationale.)
+/// subtasks on distinct nodes. The paper does not pin this shape down, so
+/// these values are a substitution, chosen so that both halves of a
+/// strategy combination act on a typical task: three serial stages give
+/// the SSP's slack division something to divide, groups of 3 give the
+/// PSP's promotion something to promote while fitting on distinct nodes of
+/// the k = 6 system, and p = 1/2 mixes the two kinds of stage evenly.
 Config baseline_combined();
 
 }  // namespace dsrt::system

@@ -30,6 +30,11 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Throws std::invalid_argument naming the first given flag that is not
+  /// in `accepted`, and listing every accepted flag, so a typo such as
+  /// `--jbos=4` fails instead of silently running with the default.
+  void require_known(const std::vector<std::string>& accepted) const;
+
   /// All parsed flags in name order (for prefix-discovery, e.g. the
   /// engine's `--sweep_<field>=...` axes).
   const std::map<std::string, std::string>& all() const { return values_; }

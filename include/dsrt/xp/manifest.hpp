@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "dsrt/engine/runner.hpp"
 #include "dsrt/engine/sweep.hpp"
 #include "dsrt/system/config.hpp"
 #include "dsrt/system/experiment.hpp"
@@ -46,12 +47,20 @@ struct MetricSpec {
 /// manifest if blessed and checked on the same class of machine.
 std::vector<MetricSpec> default_metrics(double ev_per_sec_rel_tol = 9.0);
 
+/// One printed table of a manifest's render: a title line plus the cell
+/// text of every grid point, laid out by engine::pivot_table (last axis as
+/// columns, the other axes as rows).
+struct TableSpec {
+  std::string title;
+  std::function<std::string(const engine::PointResult&)> cell;
+};
+
 /// A named, re-runnable experiment grid: everything `sweep_cli` needs to
-/// run, shard, check, and reproduce it — base config, axes, replication
-/// count, and which metrics its result database records. The figure/
-/// ablation benches declare their grids here once and become thin
-/// renderers over the same definition, so the checked surface and the
-/// printed tables can never drift apart.
+/// run, shard, check, reproduce and print it — base config, axes,
+/// replication count, which metrics its result database records, and how
+/// `sweep_cli table` renders it. Each paper figure and ablation is declared
+/// once here, so the checked surface and the printed tables cannot drift
+/// apart.
 struct Manifest {
   std::string name;
   std::string description;
@@ -59,6 +68,12 @@ struct Manifest {
   std::function<system::Config()> base;
   std::function<engine::SweepGrid()> grid;
   std::vector<MetricSpec> metrics;
+  /// The render: tables printed in order (see render_tables). Empty means
+  /// the long-format engine::sweep_table, one row per point.
+  std::vector<TableSpec> tables;
+  /// Optional verdict printed after the tables: lines a reader (or a CI
+  /// grep) checks the figure's claim by, e.g. "DEGRADES SMOOTHLY".
+  std::function<std::string(const engine::SweepResult&)> verdict;
 
   /// Grid expansion over the base config, with every point validated.
   /// The point `ordinal` is the stable index the whole harness keys on
@@ -93,9 +108,8 @@ class Registry {
   std::vector<Manifest> manifests_;
 };
 
-/// The process-wide registry holding the built-in manifests (fig2_ssp,
-/// fig3_frac_local, fig4_psp, abl_rel_flex, abl_scale_quick), constructed
-/// on first use.
+/// The process-wide registry holding the built-in manifests, constructed on
+/// first use.
 Registry& builtin_registry();
 
 /// `builtin_registry().at(name)`.

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -71,5 +73,35 @@ RunSummary run_manifest(const Manifest& manifest,
 /// std::invalid_argument when `index` is out of range.
 PointRecord reproduce_point(const Manifest& manifest, std::size_t index,
                             std::size_t jobs = 1);
+
+/// Run control for `sweep_cli table`: each set field overrides the
+/// manifest's base config (horizon, seed) or replication count before the
+/// axis mutators run, so a mutator relative to the base horizon (the 24/k
+/// scaling of the node-count grids) scales the overridden value.
+struct TableOptions {
+  std::optional<double> horizon;
+  std::optional<std::size_t> reps;
+  std::optional<std::uint64_t> seed;
+  /// Worker threads (0 = hardware concurrency); output is identical for
+  /// every value.
+  std::size_t jobs = 1;
+};
+
+/// The manifest's base config with `options` applied.
+system::Config table_base(const Manifest& manifest,
+                          const TableOptions& options);
+
+/// Runs the whole grid on one engine::Runner pool.
+engine::SweepResult run_table(const Manifest& manifest,
+                              const TableOptions& options);
+
+/// The manifest's render of the sweep `run_table(manifest, options)`
+/// returned: a header naming the manifest and its run control, each
+/// TableSpec pivoted over the grid (the long-format sweep table when the
+/// manifest declares none), then the verdict. Contains no wall time, so it
+/// is byte-identical for any job count.
+std::string render_tables(const Manifest& manifest,
+                          const TableOptions& options,
+                          const engine::SweepResult& sweep);
 
 }  // namespace dsrt::xp

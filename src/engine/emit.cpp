@@ -36,12 +36,12 @@ std::string estimate_json(const stats::Estimate& e) {
          "}";
 }
 
-std::string ci(const stats::Estimate& e) {
+}  // namespace
+
+std::string percent_ci(const stats::Estimate& e) {
   return stats::Table::percent(e.mean, 1) + " +- " +
          stats::Table::percent(e.half_width, 1);
 }
-
-}  // namespace
 
 stats::Table sweep_table(const SweepResult& sweep) {
   std::vector<std::string> headers = sweep.axis_names;
@@ -52,9 +52,9 @@ stats::Table sweep_table(const SweepResult& sweep) {
 
   for (const PointResult& pr : sweep.points) {
     std::vector<std::string> row = pr.point.labels;
-    row.push_back(ci(pr.result.md_local));
-    row.push_back(ci(pr.result.md_global));
-    row.push_back(ci(pr.result.md_overall));
+    row.push_back(percent_ci(pr.result.md_local));
+    row.push_back(percent_ci(pr.result.md_global));
+    row.push_back(percent_ci(pr.result.md_overall));
     row.push_back(stats::Table::with_ci(pr.result.response_local.mean,
                                         pr.result.response_local.half_width,
                                         3));
@@ -104,40 +104,50 @@ void write_sweep_csv(const SweepResult& sweep, std::ostream& os) {
 stats::Table pivot_table(
     const SweepResult& sweep,
     const std::function<std::string(const PointResult&)>& cell) {
-  if (sweep.axis_names.size() != 2)
-    throw std::invalid_argument("pivot_table: sweep must have exactly 2 axes");
+  const std::size_t n = sweep.axis_names.size();
+  if (n == 0)
+    throw std::invalid_argument("pivot_table: sweep must have at least 1 axis");
 
-  // Recover the axis value lists from the points' coordinates.
-  std::vector<std::string> row_labels, col_labels;
+  // Recover each axis's value list from the points' coordinates.
+  std::vector<std::vector<std::string>> labels(n);
   for (const PointResult& pr : sweep.points) {
-    const std::size_t i0 = pr.point.indices[0];
-    const std::size_t i1 = pr.point.indices[1];
-    if (i0 >= row_labels.size()) row_labels.resize(i0 + 1);
-    if (i1 >= col_labels.size()) col_labels.resize(i1 + 1);
-    row_labels[i0] = pr.point.labels[0];
-    col_labels[i1] = pr.point.labels[1];
+    for (std::size_t a = 0; a < n; ++a) {
+      const std::size_t i = pr.point.indices[a];
+      if (i >= labels[a].size()) labels[a].resize(i + 1);
+      labels[a][i] = pr.point.labels[a];
+    }
   }
 
-  // A zipped 2-axis sweep has diagonal coordinates only; pivoting it would
-  // render a mostly-empty matrix that looks like missing data.
-  if (sweep.points.size() != row_labels.size() * col_labels.size())
+  // A zipped sweep has diagonal coordinates only; pivoting it would render
+  // a mostly-empty matrix that looks like missing data.
+  std::size_t cartesian = 1;
+  for (const auto& axis : labels) cartesian *= axis.size();
+  if (sweep.points.size() != cartesian)
     throw std::invalid_argument(
         "pivot_table: sweep does not cover the full cartesian grid "
         "(zipped sweep?)");
 
-  std::vector<std::string> headers = {sweep.axis_names[0]};
-  headers.insert(headers.end(), col_labels.begin(), col_labels.end());
+  const std::vector<std::string>& columns = labels.back();
+  std::vector<std::string> headers(sweep.axis_names.begin(),
+                                   sweep.axis_names.end() - 1);
+  headers.insert(headers.end(), columns.begin(), columns.end());
   stats::Table table(std::move(headers));
 
-  std::vector<std::vector<std::string>> cells(
-      row_labels.size(), std::vector<std::string>(col_labels.size()));
-  for (const PointResult& pr : sweep.points)
-    cells[pr.point.indices[0]][pr.point.indices[1]] = cell(pr);
-  for (std::size_t i = 0; i < row_labels.size(); ++i) {
-    std::vector<std::string> row = {row_labels[i]};
-    row.insert(row.end(), cells[i].begin(), cells[i].end());
-    table.add_row(std::move(row));
+  // Row-major over the leading axes (last leading axis fastest), the same
+  // order SweepGrid::expand visits them in.
+  std::vector<std::vector<std::string>> rows(cartesian / columns.size());
+  for (const PointResult& pr : sweep.points) {
+    std::size_t row = 0;
+    for (std::size_t a = 0; a + 1 < n; ++a)
+      row = row * labels[a].size() + pr.point.indices[a];
+    if (rows[row].empty()) {
+      for (std::size_t a = 0; a + 1 < n; ++a)
+        rows[row].push_back(pr.point.labels[a]);
+      rows[row].resize(n - 1 + columns.size());
+    }
+    rows[row][n - 1 + pr.point.indices[n - 1]] = cell(pr);
   }
+  for (auto& row : rows) table.add_row(std::move(row));
   return table;
 }
 

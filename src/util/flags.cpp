@@ -1,5 +1,6 @@
 #include "dsrt/util/flags.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace dsrt::util {
@@ -25,6 +26,16 @@ Flags::Flags(int argc, const char* const* argv) {
 
 bool Flags::has(const std::string& name) const {
   return values_.count(name) != 0;
+}
+
+void Flags::require_known(const std::vector<std::string>& accepted) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(accepted.begin(), accepted.end(), name) != accepted.end())
+      continue;
+    std::string message = "unknown flag --" + name + " (accepted:";
+    for (const std::string& known : accepted) message += " --" + known;
+    throw std::invalid_argument(message + ")");
+  }
 }
 
 std::string Flags::get(const std::string& name,

@@ -3,9 +3,11 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "dsrt/engine/emit.hpp"
 #include "dsrt/engine/runner.hpp"
 
 namespace dsrt::xp {
@@ -154,6 +156,45 @@ PointRecord reproduce_point(const Manifest& manifest, std::size_t index,
   PointRecord record = run_point(manifest, points[index], jobs);
   record.total = points.size();
   return record;
+}
+
+system::Config table_base(const Manifest& manifest,
+                          const TableOptions& options) {
+  system::Config base = manifest.base();
+  if (options.horizon) base.horizon = *options.horizon;
+  if (options.seed) base.seed = *options.seed;
+  return base;
+}
+
+engine::SweepResult run_table(const Manifest& manifest,
+                              const TableOptions& options) {
+  engine::RunnerOptions runner_options;
+  runner_options.jobs = options.jobs;
+  return engine::Runner(runner_options)
+      .run_sweep(manifest.grid(), table_base(manifest, options),
+                 options.reps.value_or(manifest.replications));
+}
+
+std::string render_tables(const Manifest& manifest,
+                          const TableOptions& options,
+                          const engine::SweepResult& sweep) {
+  const system::Config base = table_base(manifest, options);
+  std::ostringstream os;
+  os << "== " << manifest.name << " ==\n"
+     << manifest.description << "\n"
+     << "horizon " << base.horizon << ", " << sweep.replications
+     << " reps, seed " << base.seed << "\n\n";
+  if (manifest.tables.empty()) {
+    engine::sweep_table(sweep).print(os);
+    os << '\n';
+  }
+  for (const TableSpec& table : manifest.tables) {
+    os << table.title << '\n';
+    engine::pivot_table(sweep, table.cell).print(os);
+    os << '\n';
+  }
+  if (manifest.verdict) os << manifest.verdict(sweep);
+  return os.str();
 }
 
 }  // namespace dsrt::xp

@@ -868,10 +868,10 @@ TEST(PlacementSystem, IdleBoardJsqMatchesStaticAtDistributionLevel) {
 }
 
 TEST(PlacementSystem, JsqBeatsStaticTowardSaturation) {
-  // The acceptance property behind BENCH_placement.json, pinned at test
-  // scale: routing to the shortest pex queue lowers the pooled miss ratio
-  // at load 0.85 (deterministic seeds; this is a regression guard, the
-  // bench explores the full grid).
+  // The acceptance property behind BENCH_abl_placement.json, pinned at
+  // test scale: routing to the shortest pex queue lowers the pooled miss
+  // ratio at load 0.85 (deterministic seeds; this is a regression guard,
+  // `sweep_cli table abl_placement` explores the full grid).
   system::Config cfg = system::baseline_ssp();
   cfg.horizon = 100000;
   cfg.load = 0.85;

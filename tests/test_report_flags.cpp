@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "dsrt/stats/report.hpp"
 #include "dsrt/util/flags.hpp"
@@ -109,6 +111,28 @@ TEST(Flags, NumbersConsumeTheWholeValue) {
   EXPECT_FALSE(dsrt::util::parse_long("4.7").has_value());
   EXPECT_FALSE(dsrt::util::parse_long("").has_value());
   EXPECT_FALSE(dsrt::util::parse_long("99999999999999999999999").has_value());
+}
+
+TEST(Flags, RequireKnownRejectsATypoAndListsTheAcceptedFlags) {
+  const auto ok = make_flags({"run", "--jobs=4", "--out=x"});
+  EXPECT_NO_THROW(ok.require_known({"jobs", "out", "shards"}));
+  EXPECT_NO_THROW(make_flags({"pos"}).require_known({}));
+
+  const auto typo = make_flags({"run", "--jbos=4", "--out=x"});
+  try {
+    typo.require_known({"jobs", "out"});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("--jbos"), std::string::npos) << what;
+    EXPECT_NE(what.find("--jobs"), std::string::npos) << what;
+    EXPECT_NE(what.find("--out"), std::string::npos) << what;
+  }
+  // Bare booleans and the space form are flags too.
+  EXPECT_THROW(make_flags({"--resume"}).require_known({"jobs"}),
+               std::invalid_argument);
+  EXPECT_THROW(make_flags({"--horizn", "1e6"}).require_known({"horizon"}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,19 +1,23 @@
 // xp layer: the sweep harness. Shard-spec parsing, manifest registry
-// errors, hexfloat round-trips, shard JSONL corruption handling,
+// errors, the N-axis table render and its run control, hexfloat
+// round-trips, shard JSONL corruption handling,
 // shard-union / resume / reproduce bitwise equivalence, and the
 // tolerance-band checker naming the exact (manifest, index, metric) of
 // every out-of-band point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "dsrt/engine/emit.hpp"
 #include "dsrt/engine/sweep.hpp"
 #include "dsrt/system/baseline.hpp"
 #include "dsrt/xp/artifact.hpp"
@@ -130,8 +134,20 @@ TEST(Registry, RejectsDuplicateAndEmptyNames) {
 }
 
 TEST(Registry, BuiltinRegistryHoldsTheExperimentSurface) {
-  for (const char* name : {"fig2_ssp", "fig3_frac_local", "fig4_psp",
-                           "abl_rel_flex", "abl_scale_quick"}) {
+  const std::vector<std::string> expected = {
+      // Committed: checked against expectations/*.json.
+      "fig2_ssp", "fig3_frac_local", "fig4_psp", "abl_rel_flex",
+      "abl_scale_quick", "wl_mix", "abl_stale_decay", "abl_faults",
+      // Printed by `sweep_cli table`.
+      "abl_abort", "abl_artificial_stages", "abl_burstiness",
+      "abl_comm_overhead", "abl_divx_sweep", "abl_faults_ladder",
+      "abl_heterogeneity", "abl_load_aware", "abl_node_count",
+      "abl_pex_error", "abl_placement", "abl_preemption", "abl_scheduler",
+      "abl_service_variability", "abl_static_vs_dynamic",
+      "abl_subtask_count", "analysis_response_tails",
+      "tab_ssp_psp_combined"};
+  EXPECT_EQ(xp::builtin_registry().names(), expected);
+  for (const std::string& name : expected) {
     const xp::Manifest& manifest = xp::find_manifest(name);
     EXPECT_EQ(manifest.name, name);
     EXPECT_GT(manifest.points(), 0u);
@@ -144,6 +160,195 @@ TEST(Registry, BuiltinRegistryHoldsTheExperimentSurface) {
     EXPECT_NE(std::string(error.what()).find("fig2_ssp"),
               std::string::npos);
   }
+}
+
+// --- table render ---------------------------------------------------------
+
+/// A hand-built 2 x 2 x 3 sweep whose MD_global mean is the point ordinal,
+/// so every cell names the point it came from.
+engine::SweepResult synthetic_sweep() {
+  engine::SweepResult sweep;
+  sweep.axis_names = {"a", "b", "c"};
+  sweep.replications = 1;
+  for (std::size_t ordinal = 0; ordinal < 12; ++ordinal) {
+    engine::PointResult p;
+    p.point.ordinal = ordinal;
+    p.point.indices = {ordinal / 6, ordinal / 3 % 2, ordinal % 3};
+    p.point.labels = {"a" + std::to_string(p.point.indices[0]),
+                      "b" + std::to_string(p.point.indices[1]),
+                      "c" + std::to_string(p.point.indices[2])};
+    p.result.md_global.mean = static_cast<double>(ordinal);
+    sweep.points.push_back(std::move(p));
+  }
+  return sweep;
+}
+
+TEST(Table, PivotPutsTheLastAxisInColumnsAndTheRestInRowMajorRows) {
+  const engine::SweepResult sweep = synthetic_sweep();
+  const auto ordinal = [](const engine::PointResult& p) {
+    return std::to_string(static_cast<int>(p.result.md_global.mean));
+  };
+  std::ostringstream csv;
+  engine::pivot_table(sweep, ordinal).print_csv(csv);
+  EXPECT_EQ(csv.str(),
+            "a,b,c0,c1,c2\n"
+            "a0,b0,0,1,2\n"
+            "a0,b1,3,4,5\n"
+            "a1,b0,6,7,8\n"
+            "a1,b1,9,10,11\n");
+
+  // The layout follows the coordinates, not the order points arrive in.
+  engine::SweepResult shuffled = sweep;
+  std::reverse(shuffled.points.begin(), shuffled.points.end());
+  std::ostringstream reversed;
+  engine::pivot_table(shuffled, ordinal).print_csv(reversed);
+  EXPECT_EQ(reversed.str(), csv.str());
+
+  // One axis: a single row of columns.
+  engine::SweepResult one_axis;
+  one_axis.axis_names = {"c"};
+  for (std::size_t i = 0; i < 2; ++i) {
+    engine::PointResult p;
+    p.point.indices = {i};
+    p.point.labels = {"c" + std::to_string(i)};
+    p.result.md_global.mean = static_cast<double>(i);
+    one_axis.points.push_back(std::move(p));
+  }
+  std::ostringstream single;
+  engine::pivot_table(one_axis, ordinal).print_csv(single);
+  EXPECT_EQ(single.str(), "c0,c1\n0,1\n");
+
+  EXPECT_THROW(engine::pivot_table(engine::SweepResult{}, ordinal),
+               std::invalid_argument);
+}
+
+TEST(Table, RenderPrintsHeaderThenTablesInOrderThenTheVerdict) {
+  xp::Manifest manifest = tiny_manifest("synthetic");
+  manifest.description = "three axes";
+  manifest.tables = {
+      {"first table", [](const engine::PointResult& p) {
+         return std::to_string(static_cast<int>(p.result.md_global.mean));
+       }},
+      {"second table", [](const engine::PointResult& p) {
+         return "x" + p.point.labels[2];
+       }}};
+  manifest.verdict = [](const engine::SweepResult& sweep) {
+    return "VERDICT " + std::to_string(sweep.points.size()) + "\n";
+  };
+  xp::TableOptions options;
+  options.horizon = 250;
+  options.seed = 9;
+  const std::string text =
+      xp::render_tables(manifest, options, synthetic_sweep());
+  EXPECT_EQ(text.rfind("== synthetic ==\nthree axes\n"
+                       "horizon 250, 1 reps, seed 9\n\nfirst table\n",
+                       0),
+            0u)
+      << text;
+  const auto first = text.find("first table");
+  const auto row = text.find("a1  b1  9");
+  const auto second = text.find("second table");
+  const auto cell = text.find("xc2");
+  const auto verdict = text.find("VERDICT 12\n");
+  ASSERT_NE(row, std::string::npos) << text;
+  ASSERT_NE(cell, std::string::npos) << text;
+  ASSERT_NE(verdict, std::string::npos) << text;
+  EXPECT_LT(first, row);
+  EXPECT_LT(row, second);
+  EXPECT_LT(second, cell);
+  EXPECT_LT(cell, verdict);
+  EXPECT_EQ(verdict + std::string("VERDICT 12\n").size(), text.size());
+}
+
+TEST(Table, RunControlAppliesToTheBaseBeforeTheAxisMutators) {
+  // abl_node_count shrinks the horizon by 24/k past k=24, relative to the
+  // base: --horizon=4800 must give k=96 a horizon of 1200.
+  const xp::Manifest& manifest = xp::find_manifest("abl_node_count");
+  xp::TableOptions options;
+  options.horizon = 4800;
+  options.seed = 11;
+  bool seen = false;
+  for (const engine::SweepPoint& point :
+       manifest.grid().expand(xp::table_base(manifest, options))) {
+    EXPECT_EQ(point.config.seed, 11u);
+    if (point.labels[0] == "96") {
+      EXPECT_EQ(point.config.horizon, 1200.0);
+      seen = true;
+    }
+    if (point.labels[0] == "24") EXPECT_EQ(point.config.horizon, 4800.0);
+  }
+  EXPECT_TRUE(seen);
+  // Without overrides the base is the manifest's own.
+  EXPECT_EQ(xp::table_base(manifest, {}).horizon, manifest.base().horizon);
+}
+
+TEST(Table, EveryRegisteredManifestExpandsValidatesAndRenders) {
+  xp::TableOptions options;
+  options.horizon = 300;
+  options.reps = 2;
+  options.jobs = 2;
+  for (const xp::Manifest& manifest : xp::builtin_registry().all()) {
+    SCOPED_TRACE(manifest.name);
+    EXPECT_EQ(manifest.expand().size(), manifest.points());
+    const engine::SweepResult sweep = xp::run_table(manifest, options);
+    ASSERT_EQ(sweep.points.size(), manifest.points());
+    EXPECT_EQ(sweep.replications, 2u);
+    const std::string text = xp::render_tables(manifest, options, sweep);
+    EXPECT_EQ(text.rfind("== " + manifest.name + " ==\n", 0), 0u);
+    for (const xp::TableSpec& table : manifest.tables)
+      EXPECT_NE(text.find(table.title + "\n"), std::string::npos)
+          << table.title;
+    const engine::SweepGrid grid = manifest.grid();
+    for (const engine::SweepAxis& axis : grid.axes())
+      for (const std::string& label : axis.labels)
+        EXPECT_NE(text.find(label), std::string::npos) << label;
+  }
+}
+
+TEST(Table, OutputIsByteIdenticalForAnyJobCount) {
+  // Three axes plus a verdict reduction over the strategy axis.
+  const xp::Manifest& manifest = xp::find_manifest("abl_rel_flex");
+  xp::TableOptions options;
+  options.horizon = 1000;
+  options.jobs = 1;
+  const std::string serial =
+      xp::render_tables(manifest, options, xp::run_table(manifest, options));
+  options.jobs = 4;
+  const std::string parallel =
+      xp::render_tables(manifest, options, xp::run_table(manifest, options));
+  EXPECT_EQ(serial, parallel);
+  EXPECT_NE(serial.find("gap@load=0.7"), std::string::npos);
+}
+
+TEST(Table, FaultLadderVerdictFlagsTheNonMonotoneColumnOnly) {
+  // The registered verdict over a hand-built 4 x 3 ladder in which only
+  // EQF/static gets better under heavier faults.
+  const xp::Manifest& manifest = xp::find_manifest("abl_faults_ladder");
+  ASSERT_TRUE(manifest.verdict);
+  const std::vector<std::string> faults = {"none", "rare", "moderate",
+                                           "heavy"};
+  const std::vector<std::string> columns = {"UD/static", "EQF/static",
+                                            "EQF/jsq-pex"};
+  engine::SweepResult sweep;
+  sweep.axis_names = {"faults", "strategy/placement"};
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      engine::PointResult p;
+      p.point.indices = {f, c};
+      p.point.labels = {faults[f], columns[c]};
+      p.result.md_overall.mean =
+          c == 1 && f == 2 ? 0.05 : 0.1 * static_cast<double>(f + 1);
+      sweep.points.push_back(std::move(p));
+    }
+  }
+  EXPECT_EQ(manifest.verdict(sweep),
+            "degradation verdict, MD_overall along the fault ladder:\n"
+            "  UD/static     10.00% ->  20.00% ->  30.00% ->  40.00%  "
+            "DEGRADES SMOOTHLY\n"
+            "  EQF/static    10.00% ->  20.00% ->   5.00% ->  40.00%  "
+            "NON-MONOTONE\n"
+            "  EQF/jsq-pex   10.00% ->  20.00% ->  30.00% ->  40.00%  "
+            "DEGRADES SMOOTHLY\n");
 }
 
 // --- hexfloat -------------------------------------------------------------
@@ -169,10 +374,8 @@ TEST(Hexfloat, ParseRejectsGarbageAndTrailingInput) {
 
 // --- manifest expansion vs the figure grids -------------------------------
 
-/// The built-in manifests must expand to exactly the grids the figure
-/// benches render (the benches now pull the definition from the registry;
-/// this pins the published shape so a manifest edit is a conscious,
-/// test-visible act).
+/// The figure manifests must expand to exactly the published grids (this
+/// pins their shape, so a manifest edit is a conscious, test-visible act).
 TEST(Manifest, Fig2ExpansionMatchesTheBenchGridPointForPoint) {
   const xp::Manifest& manifest = xp::find_manifest("fig2_ssp");
   engine::SweepGrid bench_grid;

@@ -1,9 +1,12 @@
-// sweep_cli — the front door of the sweep-harness result database
-// (dsrt::xp): run a manifest's grid (sharded, resumable), check the merged
-// artifacts against committed tolerance-banded expectations, bless new
-// expectations, and replay any single point bitwise from its seed.
+// sweep_cli — the front door of the experiment registry and its result
+// database (dsrt::xp): print any paper figure or ablation as tables, run a
+// manifest's grid (sharded, resumable), check the merged artifacts against
+// committed tolerance-banded expectations, bless new expectations, and
+// replay any single point bitwise from its seed.
 //
 //   sweep_cli list
+//   sweep_cli table <manifest> [--horizon=T] [--reps=N] [--seed=S]
+//                 [--jobs=N] [--emit=json,csv] [--out=DIR]
 //   sweep_cli run <manifest> [--shards=I/N] [--out=DIR] [--resume]
 //                 [--jobs=N]
 //   sweep_cli check <manifest>... [--out=DIR] [--expectations=DIR]
@@ -19,13 +22,21 @@
 // within tolerance — exiting nonzero with a report naming each offending
 // (manifest, index, metric). reproduce re-runs one grid point from the
 // manifest definition and, when shard artifacts are present under --out,
-// asserts the exact metrics match the recorded values bitwise.
+// asserts the exact metrics match the recorded values bitwise. table runs
+// the whole grid on the engine pool with the run control applied to the
+// manifest's base, prints the manifest's tables and verdict on stdout
+// (identical for every --jobs), the timing on stderr, and writes
+// <out>/BENCH_<manifest>.json (plus <manifest>.json/.csv with --emit).
+// Every subcommand rejects a flag it does not take.
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dsrt/engine/emit.hpp"
+#include "dsrt/system/cli.hpp"
 #include "dsrt/util/flags.hpp"
 #include "dsrt/xp/artifact.hpp"
 #include "dsrt/xp/checker.hpp"
@@ -39,6 +50,9 @@ namespace {
 const char* kUsage =
     "usage:\n"
     "  sweep_cli list\n"
+    "  sweep_cli table <manifest> [--horizon=T] [--reps=N] [--seed=S] "
+    "[--jobs=N]\n"
+    "                 [--emit=json,csv] [--out=DIR]\n"
     "  sweep_cli run <manifest> [--shards=I/N] [--out=DIR] [--resume] "
     "[--jobs=N]\n"
     "  sweep_cli check <manifest>... [--out=DIR] [--expectations=DIR]\n"
@@ -56,9 +70,46 @@ std::string labels_of(const xp::PointRecord& record) {
 int cmd_list() {
   const xp::Registry& registry = xp::builtin_registry();
   for (const xp::Manifest& manifest : registry.all())
-    std::printf("%-18s %4zu points x %zu reps  %s\n", manifest.name.c_str(),
+    std::printf("%-24s %4zu points x %zu reps  %s\n", manifest.name.c_str(),
                 manifest.points(), manifest.replications,
                 manifest.description.c_str());
+  return 0;
+}
+
+int cmd_table(const util::Flags& flags,
+              const std::vector<std::string>& args) {
+  if (args.size() != 1) {
+    std::fprintf(stderr, "table expects exactly one manifest\n%s", kUsage);
+    return 2;
+  }
+  const xp::Manifest& manifest = xp::find_manifest(args[0]);
+  const system::RunOptions run = system::run_options_from_flags(flags);
+  xp::TableOptions options;
+  if (flags.has("horizon")) options.horizon = flags.get("horizon", 0.0);
+  if (flags.has("reps")) options.reps = run.reps;
+  if (flags.has("seed")) {
+    const long seed = flags.get("seed", 0L);
+    if (seed < 0) throw std::invalid_argument("--seed must be >= 0");
+    options.seed = static_cast<std::uint64_t>(seed);
+  }
+  options.jobs = run.jobs;
+  engine::ensure_writable_dir(run.out_dir);
+
+  const engine::SweepResult sweep = xp::run_table(manifest, options);
+  std::fputs(xp::render_tables(manifest, options, sweep).c_str(), stdout);
+  std::fflush(stdout);
+  std::fprintf(stderr,
+               "[%s] %zu points x %zu reps on %zu job(s): %.2fs (%.2f "
+               "runs/s)\n",
+               manifest.name.c_str(), sweep.points.size(),
+               sweep.replications, sweep.jobs, sweep.wall_seconds,
+               sweep.runs_per_second());
+  std::fprintf(stderr, "wrote %s\n",
+               engine::write_bench_artifact(manifest.name, sweep, run.out_dir)
+                   .c_str());
+  for (const std::string& path : engine::write_sweep_files(
+           manifest.name, sweep, run.emit_csv, run.emit_json, run.out_dir))
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
   return 0;
 }
 
@@ -224,7 +275,19 @@ int main(int argc, char** argv) {
   const std::string command = args.front();
   args.erase(args.begin());
   try {
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        accepted = {
+            {"list", {}},
+            {"table", {"horizon", "reps", "seed", "jobs", "emit", "out"}},
+            {"run", {"shards", "out", "resume", "jobs"}},
+            {"check", {"out", "expectations"}},
+            {"bless", {"out", "expectations"}},
+            {"reproduce", {"out", "jobs", "metric"}},
+        };
+    for (const auto& [name, flag_names] : accepted)
+      if (command == name) flags.require_known(flag_names);
     if (command == "list") return cmd_list();
+    if (command == "table") return cmd_table(flags, args);
     if (command == "run") return cmd_run(flags, args);
     if (command == "check") return cmd_check(flags, args, /*bless=*/false);
     if (command == "bless") return cmd_check(flags, args, /*bless=*/true);
